@@ -26,6 +26,7 @@ from .model import InteractionModel, ParameterVector, setting_string
 from .geometry import center_path, lmi_slice, polytope_vertices
 from .optimizer import OptimizerConfig, optimize_design
 from .regions import (
+    THEOREM_TOL,
     corner_design,
     corner_inequalities,
     evaluate_inequality,
@@ -195,8 +196,9 @@ def inequalities(k, d, params, beta, symmetric, out):
         records = []
         for q in corner_inequalities(m):
             lhs = evaluate_inequality(q, theta)
-            records.append({"C": list(q.label), "lhs": lhs, "satisfied": lhs <= 1.0 + 1e-9})
-            mark = "ok " if lhs <= 1.0 + 1e-9 else "VIOLATED"
+            satisfied = lhs <= 1.0 + THEOREM_TOL
+            records.append({"C": list(q.label), "lhs": lhs, "satisfied": satisfied})
+            mark = "ok " if satisfied else "VIOLATED"
             click.echo(f"C={{{','.join(map(str, q.label))}}}  lhs={_fmt(lhs)}  {mark}")
         verdict = is_corner_optimal_by_theorem(theta, m)
         state = "optimal" if verdict.optimal else "not-optimal"
@@ -232,23 +234,22 @@ def inequalities(k, d, params, beta, symmetric, out):
 @click.option("--params", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--beta", type=str, default=None)
 @click.option("--symmetric", type=str, default=None)
-@click.option("--max-iterations", type=int, default=200_000, show_default=True)
-@click.option("--kw-tolerance", type=float, default=1e-7, show_default=True)
-@click.option("--prune-threshold", type=float, default=1e-8, show_default=True)
+@click.option("--max-iterations", type=click.IntRange(min=1), default=200_000,
+              show_default=True)
+@click.option("--kw-tolerance", type=click.FloatRange(min=0, min_open=True),
+              default=1e-7, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True,
               help="Design JSON output path.")
 @click.option("--report", type=click.Path(dir_okay=False), default=None,
               help="Run-report JSON output path.")
 def optimize(k, d, params, beta, symmetric, max_iterations, kw_tolerance,
-             prune_threshold, out, report):
+             out, report):
     """Compute a D-optimal approximate design for the given parameters."""
 
     def work():
         theta = _resolve_theta(k, d, params, beta, symmetric)
         cfg = OptimizerConfig(
-            max_iterations=max_iterations,
-            kw_tolerance=kw_tolerance,
-            prune_threshold=prune_threshold,
+            max_iterations=max_iterations, kw_tolerance=kw_tolerance
         )
         result = optimize_design(theta, theta.model, cfg)
         save_design(result.design, out)
@@ -276,7 +277,6 @@ def optimize(k, d, params, beta, symmetric, max_iterations, kw_tolerance,
             {
                 "k": k, "d": d, "beta": beta, "symmetric": symmetric,
                 "max_iterations": max_iterations, "kw_tolerance": kw_tolerance,
-                "prune_threshold": prune_threshold,
             },
             None,
             outputs,
@@ -409,7 +409,8 @@ def cmd_region_slice(k, d, s_grid, t_grid, out):
 @click.option("--d", type=int, required=True)
 @click.option("--s-range", type=str, required=True, help="lo:hi for s samples.")
 @click.option("--t-range", type=str, required=True, help="lo:hi for t samples.")
-@click.option("--samples", type=int, default=100_000, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=100_000,
+              show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def probe(k, d, s_range, t_range, samples, seed, out):

@@ -5,9 +5,15 @@ lambda(x) f(x)^T M(w)^{-1} f(x), has the D-optimal designs as its fixed
 points and never decreases log det M.  Convergence is declared through
 the equivalence theorem: stop when max_x d(x) <= p (1 + tol).
 
-Weights falling below a pruning threshold are removed and the rest
-renormalized; a prune that would make the information matrix singular is
-rolled back and the threshold halved, so rank is never lost.  The
+After every step that did not stop, settings that cannot carry weight in
+any D-optimal design are deleted from the support by the bound of Harman
+and Pronzato (2007, Stat. Probab. Lett. 77:90-94): with the gap
+eps = max_x d(x) - p, a setting with
+
+    d(x) < p (1 + eps/2 - sqrt(eps (4 + eps - 4/p)) / 2)
+
+lies outside every D-optimal support.  The remaining support contains
+every optimal one, which spans R^p, so deletion never loses rank.  The
 iteration itself is deterministic (uniform seed design, no randomness).
 """
 
@@ -19,7 +25,7 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cholesky
 
 from .exceptions import (
     MonotonicityError,
@@ -28,6 +34,7 @@ from .exceptions import (
     SingularInformation,
 )
 from .model import Design, InteractionModel, ParameterVector, _check_model, regression_matrix
+from .regions import _sensitivities_from_factor
 
 
 class DesignStructure(Enum):
@@ -43,14 +50,11 @@ class OptimizerConfig:
 
     max_iterations: int = 200_000
     kw_tolerance: float = 1e-7
-    prune_threshold: float = 1e-8
     seed_design: Design | None = None
 
     def __post_init__(self) -> None:
         if self.kw_tolerance <= 0:
             raise ValueError("kw_tolerance must be positive")
-        if not 0 <= self.prune_threshold <= 1e-6:
-            raise ValueError("prune_threshold must lie in [0, 1e-6]")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -65,7 +69,7 @@ class OptimizerResult:
     converged: bool
     #: log det per evaluated iterate (ascending within each support segment).
     log_det_trace: np.ndarray = field(repr=False)
-    #: trace indices after which the support changed (prunes, artifact drops).
+    #: trace indices after which settings were deleted from the support.
     prune_iterations: tuple[int, ...]
     support_size: int
     caratheodory_ok: bool
@@ -96,15 +100,6 @@ def classify_structure(
     return DesignStructure.INTERIOR
 
 
-def _evaluate(w, rows, lam):
-    """log det of M(w) and the sensitivity at every setting."""
-    factor = cho_factor(_symmetric_information(w, rows, lam), lower=True)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    solved = cho_solve(factor, rows.T)
-    d = lam * np.einsum("ij,ji->i", rows, solved)
-    return log_det, d
-
-
 def optimize_design(
     theta: ParameterVector,
     m: InteractionModel,
@@ -115,7 +110,7 @@ def optimize_design(
     Raises ``SingularInformation`` when the seed design's information
     matrix does not span, and ``MonotonicityError`` if log det ever
     decreases across multiplicative steps (a broken-sensitivity symptom).
-    A run that exhausts ``max_iterations`` returns the best iterate with
+    A run that exhausts ``max_iterations`` returns the last iterate with
     ``converged=False``.
     """
     _check_model(theta, m)
@@ -134,7 +129,6 @@ def optimize_design(
         for mask, value in cfg.seed_design.weights.items():
             w[mask] = value
 
-    prune_threshold = cfg.prune_threshold
     trace: list[float] = []
     prunes: list[int] = []
     last_log_det: float | None = None
@@ -145,11 +139,13 @@ def optimize_design(
 
     for iterations in range(cfg.max_iterations + 1):
         try:
-            log_det, d = _evaluate(w, rows, lam)
+            low = cholesky(_symmetric_information(w, rows, lam), lower=True)
         except LinAlgError as exc:
             raise SingularInformation(
                 "information matrix of the current iterate is singular"
             ) from exc
+        log_det = 2.0 * float(np.sum(np.log(np.diag(low))))
+        d = _sensitivities_from_factor(low, rows, lam)
         trace.append(log_det)
         if last_log_det is not None and log_det < last_log_det - 1e-12 * max(
             1.0, abs(last_log_det)
@@ -170,11 +166,6 @@ def optimize_design(
         kw_max = float(np.max(d))
         if kw_max <= p * (1.0 + cfg.kw_tolerance):
             converged = True
-            w, cleaned_log_det, cleaned_kw_max, changed = _drop_stopping_artifacts(
-                w, rows, lam, p, cfg.kw_tolerance, trace, prunes
-            )
-            if changed:
-                log_det, kw_max = cleaned_log_det, cleaned_kw_max
             break
         if iterations == cfg.max_iterations:
             break
@@ -183,25 +174,15 @@ def optimize_design(
         w[active] *= d[active] / p
         w /= w.sum()
 
-        # Prune, rolling back (and halving the threshold) if rank would drop.
-        while prune_threshold > 0:
-            small = (w > 0) & (w < prune_threshold)
-            if not small.any():
-                break
-            trial = w.copy()
-            trial[small] = 0.0
-            trial /= trial.sum()
-            try:
-                cho_factor(
-                    _symmetric_information(trial, rows, lam), lower=True
-                )
-            except LinAlgError:
-                prune_threshold /= 2.0
-                continue
-            w = trial
+        # Harman-Pronzato deletion; the KW check failed, so eps > 0.
+        eps = kw_max - p
+        bound = p * (1.0 + eps / 2.0 - math.sqrt(eps * (4.0 + eps - 4.0 / p)) / 2.0)
+        hopeless = (w > 0) & (d < bound)
+        if hopeless.any():
+            w[hopeless] = 0.0
+            w /= w.sum()
             prunes.append(len(trace) - 1)
             last_log_det = None  # support changed; ascent restarts from here
-            break
 
     design = Design(m.k, {int(x): float(w[x]) for x in np.nonzero(w)[0]})
     support_size = len(design.support)
@@ -217,50 +198,6 @@ def optimize_design(
         support_size=support_size,
         caratheodory_ok=support_size <= caratheodory_bound(m),
     )
-
-
-def _drop_stopping_artifacts(w, rows, lam, p, kw_tolerance, trace, prunes):
-    """Shed tiny weights left over because the KW criterion fires at
-    finite tolerance.
-
-    Each candidate weight is dropped tentatively, the trial design is
-    polished with a few multiplicative updates (on a saturated support one
-    update restores exactly uniform weights), and the drop is kept only if
-    the polished trial still passes the KW criterion.  A support point the
-    optimum genuinely needs always fails the re-check and is rolled back,
-    so the returned design stays certified at the same tolerance.
-    """
-    threshold = max(10.0 * kw_tolerance, 0.05 / p)
-    candidates = np.nonzero((w > 0) & (w < threshold))[0]
-    kw_max = None
-    log_det = None
-    changed = False
-    for idx in sorted(candidates, key=lambda i: w[i]):
-        if np.count_nonzero(w) <= 1:
-            break
-        trial = w.copy()
-        trial[idx] = 0.0
-        trial /= trial.sum()
-        accepted = None
-        try:
-            for _ in range(5):
-                trial_log_det, trial_d = _evaluate(trial, rows, lam)
-                trial_max = float(np.max(trial_d))
-                if trial_max <= p * (1.0 + kw_tolerance):
-                    accepted = (trial_log_det, trial_max)
-                    break
-                active = trial > 0
-                trial[active] *= trial_d[active] / p
-                trial /= trial.sum()
-        except LinAlgError:
-            continue
-        if accepted is not None:
-            w = trial
-            log_det, kw_max = accepted
-            prunes.append(len(trace) - 1)
-            trace.append(log_det)
-            changed = True
-    return w, log_det, kw_max, changed
 
 
 def _symmetric_information(w, rows, lam):

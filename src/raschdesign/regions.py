@@ -33,7 +33,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
 from .exceptions import NotSaturated, SingularInformation, SingularSupport
 from .model import (
@@ -183,16 +183,26 @@ def sensitivities(
     _check_model(theta, m)
     mat = fisher_information(w, theta, m)
     try:
-        factor = cho_factor(mat, lower=True)
+        low = cholesky(mat, lower=True)
     except LinAlgError as exc:
         raise SingularInformation(
             f"information matrix of a design on {len(w.support)} points "
             f"is not positive definite (p={m.p})"
         ) from exc
     rows = regression_matrix(m).astype(float)
-    lam = np.exp(rows @ theta.values)
-    solved = cho_solve(factor, rows.T)
-    return lam * np.einsum("ij,ji->i", rows, solved)
+    return _sensitivities_from_factor(low, rows, np.exp(rows @ theta.values))
+
+
+def _sensitivities_from_factor(
+    low: np.ndarray, rows: np.ndarray, lam: np.ndarray
+) -> np.ndarray:
+    """lambda(x) f(x)^T M^{-1} f(x) per row, given M = low low^T.
+
+    With Z = low^{-1} F^T, f(x)^T M^{-1} f(x) is the squared norm of Z's
+    column x, so one triangular solve suffices.
+    """
+    z = solve_triangular(low, rows.T, lower=True)
+    return lam * np.einsum("ij,ij->j", z, z)
 
 
 def kw_certificate(

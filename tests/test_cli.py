@@ -20,6 +20,18 @@ def params_file(tmp_path):
     return path
 
 
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--k", "2", "--d", "1", "--max-iterations", "0"],
+    ["optimize", "--k", "2", "--d", "1", "--kw-tolerance", "0"],
+    ["optimize", "--k", "2", "--d", "1", "--prune-threshold", "1e-8"],
+    ["probe", "--k", "5", "--d", "2", "--s-range", "0.001:1.0",
+     "--t-range", "0.001:1.0", "--samples", "0"],
+], ids=["max-iterations", "kw-tolerance", "prune-threshold", "samples"])
+def test_invalid_flag_values_exit_2(runner, tmp_path, argv):
+    result = runner.invoke(main, argv + ["--out", str(tmp_path / "out.json")])
+    assert result.exit_code == 2
+
+
 class TestInequalities:
     def test_symmetric_witness_point(self, runner):
         result = runner.invoke(

@@ -41,15 +41,31 @@ class TestOptimizeDesign:
         for x in result.design.support:
             assert abs(result.design.weight(x) - 1 / 3) <= 1e-6
 
-    def test_interior_limit_above_transition(self):
+    @pytest.mark.parametrize("lam,min_weight", [
+        pytest.param(0.4145, 1e-4, id="0.4145"),
+        pytest.param(0.8, 1e-3, id="0.8"),
+    ])
+    def test_interior_limit_above_transition(self, lam, min_weight):
+        # 0.4145 sits just above sqrt(2) - 1, where (1,1) carries little
+        # weight: a deletion bound built on the relative gap drops it
         m = rd.InteractionModel(2, 1)
-        theta = rd.ParameterVector.symmetric(m, 0.8)
+        theta = rd.ParameterVector.symmetric(m, lam)
         result = rd.optimize_design(theta, m)
         assert result.converged
         assert result.structure is DesignStructure.INTERIOR
-        assert result.design.weight((1, 1)) > 1e-3
+        assert result.design.weight((1, 1)) > min_weight
         assert_allclose(result.final_kw_max, 3.0, rtol=1e-6)
         assert rd.kw_certificate(result.design, theta, m).optimal
+
+    def test_support_deletion_reaches_corner_quickly(self):
+        # just below the saturation point the corner weights converge
+        # slowly; deleting (1,1) by the Harman-Pronzato bound ends the run
+        m = rd.InteractionModel(2, 1)
+        cfg = rd.OptimizerConfig(max_iterations=100)
+        result = rd.optimize_design(rd.ParameterVector.symmetric(m, 0.41), m, cfg)
+        assert result.converged
+        assert result.structure is DesignStructure.CORNER
+        assert result.prune_iterations
 
     def test_converged_designs_pass_certificate(self):
         rng = np.random.default_rng(77)
@@ -108,8 +124,6 @@ class TestOptimizerConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             rd.OptimizerConfig(kw_tolerance=0.0)
-        with pytest.raises(ValueError):
-            rd.OptimizerConfig(prune_threshold=1e-3)
         with pytest.raises(ValueError):
             rd.OptimizerConfig(max_iterations=0)
 
