@@ -151,6 +151,19 @@ class InteractionModel:
             ) from None
 
 
+def _cholesky(mat: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive definite matrix.
+
+    ``np.linalg.cholesky`` returns NaN for input holding an inf or a NaN;
+    this raises ``ValueError`` instead, so that no NaN verdict can follow.
+    A finite matrix that is not positive definite raises
+    ``np.linalg.LinAlgError``.
+    """
+    if not np.isfinite(mat).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return np.linalg.cholesky(mat)
+
+
 def _check_model(theta: "ParameterVector", m: InteractionModel) -> None:
     if theta.model != m:
         raise ValueError(

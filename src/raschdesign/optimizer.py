@@ -25,7 +25,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky
 
 from .exceptions import (
     MonotonicityError,
@@ -33,7 +32,14 @@ from .exceptions import (
     NumericalCheckError,
     SingularInformation,
 )
-from .model import Design, InteractionModel, ParameterVector, _check_model, regression_matrix
+from .model import (
+    Design,
+    InteractionModel,
+    ParameterVector,
+    _check_model,
+    _cholesky,
+    regression_matrix,
+)
 from .regions import _sensitivities_from_factor
 
 
@@ -139,8 +145,8 @@ def optimize_design(
 
     for iterations in range(cfg.max_iterations + 1):
         try:
-            low = cholesky(_symmetric_information(w, rows, lam), lower=True)
-        except LinAlgError as exc:
+            low = _cholesky(_symmetric_information(w, rows, lam))
+        except np.linalg.LinAlgError as exc:
             raise SingularInformation(
                 "information matrix of the current iterate is singular"
             ) from exc

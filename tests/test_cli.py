@@ -1,6 +1,10 @@
 """Command-line interface: inputs, outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -18,6 +22,22 @@ def params_file(tmp_path):
     path = tmp_path / "params.json"
     path.write_text(json.dumps({"k": 2, "d": 1, "beta": {"1": -2.0, "2": -2.0}}))
     return path
+
+
+def test_import_loads_no_scipy():
+    # scipy is slow to import; only the NNLS membership test may load it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import raschdesign.cli, sys; "
+        "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("argv", [

@@ -116,6 +116,17 @@ class TestLmiSlice:
             assert_allclose(sl.matrix(u), pm.vertices[i + 1], atol=1e-12)
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_point_raises(self):
+        m, theta = two_rule_model(0.5, 0.5)
+        sl = rd.lmi_slice(rd.polytope_vertices(theta, m))
+        u = [np.inf, 0.0, 0.0]
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            rd.log_det_gradient_hessian(sl, u)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            rd.geometry._is_pd(sl.matrix(u))
+
+
 class TestAnalyticCenter:
     def test_zero_parameter_center(self):
         m, theta = two_rule_model(1.0, 1.0)

@@ -57,6 +57,13 @@ class TestOptimizeDesign:
         assert_allclose(result.final_kw_max, 3.0, rtol=1e-6)
         assert rd.kw_certificate(result.design, theta, m).optimal
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_information_raises(self):
+        m = rd.InteractionModel(2, 1)
+        theta = rd.ParameterVector(m, [0.0, 800.0, 0.0])
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            rd.optimize_design(theta, m)
+
     def test_support_deletion_reaches_corner_quickly(self):
         # just below the saturation point the corner weights converge
         # slowly; deleting (1,1) by the Harman-Pronzato bound ends the run

@@ -197,6 +197,37 @@ class TestKwCertificate:
             assert np.max(np.abs(d0 - d1)) <= 1e-10
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_information_raises(self):
+        # e^800 overflows, so M holds infs; no NaN verdict may come out
+        m = rd.InteractionModel(2, 1)
+        theta = rd.ParameterVector(m, [0.0, 800.0, 0.0])
+        w = rd.corner_design(m)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            rd.sensitivities(w, theta, m)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            rd.kw_certificate(w, theta, m)
+
+
+class TestSensitivityKernel:
+    @pytest.mark.parametrize("k,d", [(2, 1), (6, 2), (10, 2), (10, 3), (12, 3)])
+    def test_matches_dense_solve(self, k, d):
+        rng = np.random.default_rng(100 * k + d)
+        m = rd.InteractionModel(k, d)
+        theta = rd.ParameterVector(m, rng.normal(scale=0.3, size=m.p))
+        w = rd.Design(k, dict(enumerate(rng.dirichlet(np.ones(1 << k)))))
+        got = rd.sensitivities(w, theta, m)
+
+        rows = rd.regression_matrix(m).astype(float)
+        mat = rd.fisher_information(w, theta, m)
+        lam = np.exp(rows @ theta.values)
+        expected = lam * np.einsum("ij,ji->i", rows, np.linalg.solve(mat, rows.T))
+        assert_allclose(got, expected, rtol=1e-10)
+
+        weights = np.array([w.weight(x) for x in m.settings()])
+        assert abs(weights @ got - m.p) <= 1e-9 * m.p
+
+
 class TestSaturatedValues:
     def test_support_values_are_one(self):
         rng = np.random.default_rng(23)
