@@ -45,6 +45,7 @@ from .regions import (
     OptimalityVerdict,
     corner_design,
     corner_inequalities,
+    corner_lhs,
     evaluate_inequality,
     is_corner_optimal_by_theorem,
     kw_certificate,
@@ -98,7 +99,8 @@ __all__ = [
     "setting_mask", "setting_bits", "setting_string",
     # regions
     "MonomialInequality", "OptimalityVerdict", "corner_design",
-    "corner_inequalities", "evaluate_inequality", "is_corner_optimal_by_theorem",
+    "corner_inequalities", "corner_lhs", "evaluate_inequality",
+    "is_corner_optimal_by_theorem",
     "kw_certificate", "saturated_kw_values", "sensitivities",
     "symmetric_slice", "region_slice", "redundancy_probe",
     # optimizer

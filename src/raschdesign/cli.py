@@ -27,9 +27,9 @@ from .geometry import center_path, lmi_slice, polytope_vertices
 from .optimizer import OptimizerConfig, optimize_design
 from .regions import (
     THEOREM_TOL,
+    _theorem_verdict,
     corner_design,
-    corner_inequalities,
-    evaluate_inequality,
+    corner_lhs,
     is_corner_optimal_by_theorem,
     kw_certificate,
     redundancy_probe,
@@ -50,6 +50,15 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+def _set(label) -> str:
+    return "{" + ",".join(map(str, label)) + "}"
+
+
+def _json(payload) -> str:
+    """Strict JSON text: a non-finite number raises instead of being written."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
 def _write_manifest(command: str, inputs, flags: dict, seed, outputs) -> None:
     if not outputs:
         return
@@ -62,7 +71,7 @@ def _write_manifest(command: str, inputs, flags: dict, seed, outputs) -> None:
         "outputs": [str(p) for p in outputs],
     }
     path = Path(str(outputs[0]) + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    path.write_text(_json(manifest))
 
 
 def _parse_symmetric(text: str) -> dict[str, float]:
@@ -193,30 +202,33 @@ def inequalities(k, d, params, beta, symmetric, out):
     def work():
         theta = _resolve_theta(k, d, params, beta, symmetric)
         m = theta.model
+        labels, values = corner_lhs(theta, m)
+        verdict = _theorem_verdict(labels, values, m.k)
         records = []
-        for q in corner_inequalities(m):
-            lhs = evaluate_inequality(q, theta)
+        lines = []
+        for label, lhs in zip(labels, values.tolist()):
             satisfied = lhs <= 1.0 + THEOREM_TOL
-            records.append({"C": list(q.label), "lhs": lhs, "satisfied": satisfied})
+            records.append({"C": list(label), "lhs": lhs, "satisfied": satisfied})
             mark = "ok " if satisfied else "VIOLATED"
-            click.echo(f"C={{{','.join(map(str, q.label))}}}  lhs={_fmt(lhs)}  {mark}")
-        verdict = is_corner_optimal_by_theorem(theta, m)
+            lines.append(f"C={_set(label)}  lhs={_fmt(lhs)}  {mark}")
         state = "optimal" if verdict.optimal else "not-optimal"
         if verdict.boundary:
             state += " (boundary)"
-        click.echo(
+        lines.append(
             f"verdict: {state}"
             f"  max-lhs={_fmt(verdict.max_directional_value)}"
         )
+        click.echo("\n".join(lines))
         if out:
             payload = {
                 "k": m.k,
                 "d": m.d,
                 "inequalities": records,
                 "optimal": verdict.optimal,
-                "max_lhs": verdict.max_directional_value,
+                # an empty system (d == k) has no maximum
+                "max_lhs": verdict.max_directional_value if labels else None,
             }
-            Path(out).write_text(json.dumps(payload, indent=2) + "\n")
+            Path(out).write_text(_json(payload))
             _write_manifest(
                 "inequalities",
                 [p for p in (params,) if p],
@@ -263,7 +275,7 @@ def optimize(k, d, params, beta, symmetric, max_iterations, kw_tolerance,
         }
         outputs = [out]
         if report:
-            Path(report).write_text(json.dumps(payload, indent=2) + "\n")
+            Path(report).write_text(_json(payload))
             outputs.append(report)
         click.echo(
             f"structure={result.structure.value}  iterations={result.iterations}"
@@ -360,7 +372,7 @@ def cmd_center_path(k, d, lambdas, out, matrices_out):
                     "directions": [rows_of(dmat) for dmat in sl.directions],
                     "center": rows_of(row.result.matrix),
                 })
-            Path(matrices_out).write_text(json.dumps(dump, indent=2) + "\n")
+            Path(matrices_out).write_text(_json(dump))
             outputs.append(matrices_out)
         if path.first_exit is not None:
             click.echo(f"center exits the polytope at param={_fmt(path.first_exit)}")
@@ -436,7 +448,7 @@ def probe(k, d, s_range, t_range, samples, seed, out):
             m, parse_range(s_range, "s-range"), parse_range(t_range, "t-range"),
             samples, seed,
         )
-        Path(out).write_text(json.dumps(report.as_dict(), indent=2) + "\n")
+        Path(out).write_text(_json(report.as_dict()))
         for c, entry in report.entries.items():
             state = (
                 "no witness" if entry.redundant_in_region
@@ -474,12 +486,12 @@ def compare(k, d, params, samples, seed, beta_low, beta_high, echo, out):
             theta = _resolve_theta(k, d, params, None, None)
             m = theta.model
             w = corner_design(m)
-            click.echo("inequality system:")
-            for q in corner_inequalities(m):
-                click.echo(
-                    f"  C={{{','.join(map(str, q.label))}}}"
-                    f"  lhs={_fmt(evaluate_inequality(q, theta))}"
-                )
+            labels, values = corner_lhs(theta, m)
+            click.echo("\n".join(
+                ["inequality system:"]
+                + [f"  C={_set(label)}  lhs={_fmt(lhs)}"
+                   for label, lhs in zip(labels, values.tolist())]
+            ))
             click.echo("saturated sensitivities (value 1 on the support):")
             for x, value in saturated_kw_values(w, theta, m).items():
                 click.echo(f"  x={setting_string(x, m.k)}  value={_fmt(value)}")
@@ -518,7 +530,7 @@ def compare(k, d, params, samples, seed, beta_low, beta_high, echo, out):
             f" ({len(disagreements)} disagreements)"
         )
         if out:
-            Path(out).write_text(json.dumps(payload, indent=2) + "\n")
+            Path(out).write_text(_json(payload))
             _write_manifest(
                 "compare", [],
                 {"k": k, "d": d, "samples": samples,
@@ -551,7 +563,7 @@ def symmetry(k, d, params, beta, symmetric, element, design_path, orbit, out):
         rep = representation_matrix(g, m)
         moved = act_on_parameters(g, theta, m)
         click.echo(f"|det Q| = {abs(rep.det)}")
-        click.echo("transformed beta: " + json.dumps(moved.as_dict()))
+        click.echo("transformed beta: " + json.dumps(moved.as_dict(), allow_nan=False))
         orbit_list = [theta.as_dict()]
         if orbit:
             seen = {tuple(np.round(theta.values, 12))}
@@ -578,7 +590,7 @@ def symmetry(k, d, params, beta, symmetric, element, design_path, orbit, out):
             )
         if out:
             payload = orbit_list if orbit else [moved.as_dict()]
-            Path(out).write_text(json.dumps(payload, indent=2) + "\n")
+            Path(out).write_text(_json(payload))
             _write_manifest(
                 "symmetry", [p for p in (params,) if p],
                 {"k": k, "d": d, "element": element, "orbit": orbit},

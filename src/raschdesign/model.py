@@ -364,10 +364,33 @@ def intensity(x, theta: ParameterVector, m: InteractionModel) -> float:
     return math.exp(log_intensity(x, theta, m))
 
 
+def _zeta(r: np.ndarray) -> np.ndarray:
+    """Subset-sum (zeta) transform over the last axis, in place.
+
+    The last axis of the C-contiguous array ``r`` has length 2^k and is
+    indexed by bitmask; afterwards ``r[..., C]`` holds the sum of the old
+    ``r[..., B]`` over all subsets B of C.  Pass i adds every entry
+    without bit i into its partner with bit i (Yates 1937), so the cost is
+    k 2^(k-1) additions per row.  Returns ``r``.
+    """
+    half = 1
+    while half < r.shape[-1]:
+        view = r.reshape(r.shape[:-1] + (-1, 2, half))
+        view[..., 1, :] += view[..., 0, :]
+        half *= 2
+    return r
+
+
 def intensities(theta: ParameterVector, m: InteractionModel) -> np.ndarray:
-    """Intensity at every setting, indexed by setting bitmask."""
+    """Intensity at every setting, indexed by setting bitmask.
+
+    The log intensity at x is the sum of beta_A over the subsets A of x,
+    so it is the zeta transform of beta placed on the 2^k lattice.
+    """
     _check_model(theta, m)
-    return np.exp(regression_matrix(m) @ theta.values)
+    lattice = np.zeros(1 << m.k)
+    lattice[list(m.masks)] = theta.values
+    return np.exp(_zeta(lattice))
 
 
 def fisher_information(

@@ -1,15 +1,20 @@
 """Command-line interface: inputs, outputs, exit codes, determinism."""
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import raschdesign as rd
 from raschdesign.cli import main
+from raschdesign.regions import THEOREM_TOL
 
 
 @pytest.fixture
@@ -22,6 +27,28 @@ def params_file(tmp_path):
     path = tmp_path / "params.json"
     path.write_text(json.dumps({"k": 2, "d": 1, "beta": {"1": -2.0, "2": -2.0}}))
     return path
+
+
+def strict_json(text):
+    """Parse JSON, rejecting the non-standard NaN and Infinity constants."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def random_params(tmp_path, k, d, seed):
+    """Parameter file with base 0 and other beta uniform on [-2, 0.5]."""
+    m = rd.InteractionModel(k, d)
+    rng = np.random.default_rng(seed)
+    theta = rd.ParameterVector(m, np.r_[0.0, rng.uniform(-2.0, 0.5, m.p - 1)])
+    path = tmp_path / f"params_k{k}_d{d}.json"
+    path.write_text(json.dumps({"k": k, "d": d, "beta": theta.as_dict()}))
+    return path, theta
+
+
+def reference_values(theta):
+    m = theta.model
+    return [(q.label, rd.evaluate_inequality(q, theta)) for q in rd.corner_inequalities(m)]
 
 
 def test_import_loads_no_scipy():
@@ -74,6 +101,46 @@ class TestInequalities:
         result = runner.invoke(main, ["inequalities", "--k", "2", "--d", "1"])
         assert result.exit_code == 0
         assert "not-optimal" in result.output
+
+    def test_out_records_match_reference(self, runner, tmp_path):
+        params, theta = random_params(tmp_path, 6, 2, seed=0)
+        out = tmp_path / "ineq.json"
+        result = runner.invoke(
+            main, ["inequalities", "--params", str(params), "--out", str(out)],
+        )
+        assert result.exit_code == 0
+        data = strict_json(out.read_text())
+        records = data["inequalities"]
+        reference = reference_values(theta)
+        assert [tuple(r["C"]) for r in records] == [label for label, _ in reference]
+        for record, (_, lhs) in zip(records, reference):
+            assert math.isclose(record["lhs"], lhs, rel_tol=1e-12)
+            assert record["satisfied"] == (lhs <= 1.0 + THEOREM_TOL)
+        assert {r["satisfied"] for r in records} == {True, False}
+        verdict = rd.is_corner_optimal_by_theorem(theta, theta.model)
+        assert data["optimal"] == verdict.optimal
+        assert data["max_lhs"] == verdict.max_directional_value
+
+    def test_empty_system_writes_strict_json(self, runner, tmp_path):
+        out = tmp_path / "f.json"
+        result = runner.invoke(
+            main, ["inequalities", "--k", "2", "--d", "2", "--out", str(out)],
+        )
+        assert result.exit_code == 0
+        data = strict_json(out.read_text())
+        assert data["inequalities"] == []
+        assert data["optimal"] is True and data["max_lhs"] is None
+        strict_json((tmp_path / "f.json.manifest.json").read_text())
+
+    def test_infinite_lhs_is_not_written_as_json(self, runner, tmp_path):
+        out = tmp_path / "f.json"
+        result = runner.invoke(
+            main, ["inequalities", "--k", "2", "--d", "1", "--beta", '{"1": 800}',
+                   "--out", str(out)],
+        )
+        assert "lhs=inf" in result.output
+        assert result.exit_code == 1
+        assert not out.exists()
 
     def test_malformed_params_exit_2(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
@@ -317,6 +384,23 @@ class TestCompare:
         data = json.loads(out.read_text())
         for record in data["disagreements"]:
             assert {"beta", "theorem_optimal", "kw_optimal"} <= set(record)
+
+    def test_echo_lines_match_reference(self, runner, tmp_path):
+        params, theta = random_params(tmp_path, 4, 2, seed=1)
+        result = runner.invoke(main, ["compare", "--params", str(params), "--echo"])
+        assert result.exit_code == 0
+        listed = re.findall(r"C=\{([\d,]+)\}\s+lhs=(\S+)", result.output)
+        reference = reference_values(theta)
+        assert [tuple(map(int, c.split(","))) for c, _ in listed] == [
+            label for label, _ in reference
+        ]
+        for (_, text), (_, lhs) in zip(listed, reference):
+            assert math.isclose(float(text), lhs, rel_tol=1e-11)
+        satisfied = [float(text) <= 1.0 + THEOREM_TOL for _, text in listed]
+        assert satisfied == [lhs <= 1.0 + THEOREM_TOL for _, lhs in reference]
+        assert set(satisfied) == {True, False}
+        verdict = rd.is_corner_optimal_by_theorem(theta, theta.model)
+        assert verdict.optimal == all(satisfied)
 
     def test_echo_mode(self, runner, params_file):
         result = runner.invoke(main, ["compare", "--params", str(params_file), "--echo"])

@@ -124,6 +124,14 @@ class TestIntensity:
             expected = math.exp(float(rd.regression_vector(x, m) @ theta.values))
             assert_allclose(rd.intensity(x, theta, m), expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("k,d", [(1, 1), (3, 2), (6, 2), (10, 3)])
+    def test_intensities_match_regression_product(self, k, d):
+        rng = np.random.default_rng(10 * k + d)
+        m = rd.InteractionModel(k, d)
+        theta = rd.ParameterVector(m, rng.normal(size=m.p))
+        expected = np.exp(rd.regression_matrix(m) @ theta.values)
+        assert_allclose(rd.intensities(theta, m), expected, rtol=1e-12)
+
     def test_toric_relation(self):
         # lambda(00) lambda(11) == lambda(10) lambda(01) identically at d=1
         rng = np.random.default_rng(3)

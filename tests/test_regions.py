@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import raschdesign as rd
+from raschdesign import regions
 
 
 def symmetric_monomial_counts(q):
@@ -130,6 +132,122 @@ class TestEvaluateInequality:
                     rd.evaluate_inequality(q, theta_low)
                     <= rd.evaluate_inequality(q, theta) + 1e-12
                 )
+
+
+def reference_lhs(theta, m):
+    """Labels and values of the system, one ``evaluate_inequality`` per C."""
+    ineqs = rd.corner_inequalities(m)
+    values = np.array([rd.evaluate_inequality(q, theta) for q in ineqs])
+    return tuple(q.label for q in ineqs), values
+
+
+class TestCornerLhs:
+    @pytest.mark.parametrize("k,d", [
+        (2, 1), (3, 2), (4, 2), (6, 2), (8, 2), (10, 2), (10, 3), (12, 3),
+    ])
+    def test_matches_reference(self, k, d):
+        rng = np.random.default_rng(1000 * k + d)
+        m = rd.InteractionModel(k, d)
+        theta = rd.ParameterVector(m, rng.normal(scale=0.5, size=m.p))
+        labels, values = rd.corner_lhs(theta, m)
+        ref_labels, ref_values = reference_lhs(theta, m)
+        assert labels == ref_labels
+        assert_allclose(values, ref_values, rtol=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_values_and_verdict_match_reference(self, data):
+        k = data.draw(st.integers(min_value=1, max_value=6), label="k")
+        d = data.draw(st.integers(min_value=1, max_value=min(k, 3)), label="d")
+        m = rd.InteractionModel(k, d)
+        beta = data.draw(st.lists(
+            st.floats(min_value=-4.0, max_value=1.5), min_size=m.p, max_size=m.p,
+        ), label="beta")
+        theta = rd.ParameterVector(m, beta)
+        labels, values = rd.corner_lhs(theta, m)
+        ref_labels, ref_values = reference_lhs(theta, m)
+        assert labels == ref_labels
+        assert_allclose(values, ref_values, rtol=1e-12)
+        verdict = rd.is_corner_optimal_by_theorem(theta, m)
+        bad = tuple(c for c, v in zip(ref_labels, ref_values) if v > 1.0 + rd.regions.THEOREM_TOL)
+        assert verdict.optimal == (not bad)
+        assert verdict.violated_labels == bad
+        if ref_values.size:
+            assert_allclose(verdict.max_directional_value, ref_values.max(), rtol=1e-12)
+
+    def test_very_negative_parameters_vanish(self):
+        for k, d in [(3, 2), (6, 3)]:
+            m = rd.InteractionModel(k, d)
+            theta = rd.ParameterVector(
+                m, np.concatenate([[0.0], np.full(m.p - 1, -200.0)])
+            )
+            _, values = rd.corner_lhs(theta, m)
+            assert values.size and np.all(values < 1e-100)
+
+    @staticmethod
+    def count_fallbacks(monkeypatch):
+        calls = []
+        reference = regions.evaluate_inequality
+
+        def counted(q, theta):
+            calls.append(q.label)
+            return reference(q, theta)
+
+        monkeypatch.setattr(regions, "evaluate_inequality", counted)
+        return calls
+
+    def test_wide_span_sends_fallback(self, monkeypatch):
+        # beta spans [-400, 400]: the pair shift is 400, so the pair sum
+        # of C = {1,2,3} is 3 e^{-800}, below the smallest normal float
+        m = rd.InteractionModel(5, 2)
+        beta = {"1": -400.0, "2": -400.0, "3": -400.0, "4,5": -400.0}
+        beta.update({"1,2": 400.0, "1,3": 400.0, "2,3": 400.0})
+        theta = rd.ParameterVector.from_dict(m, beta)
+        calls = self.count_fallbacks(monkeypatch)
+        _, values = rd.corner_lhs(theta, m)
+        assert calls == [(1, 2, 3)]
+        monkeypatch.undo()
+        _, ref_values = reference_lhs(theta, m)
+        assert not np.isnan(values).any()
+        assert_allclose(values, ref_values, rtol=1e-12)
+
+    def test_fallback_carries_the_dominant_terms(self, monkeypatch):
+        # beta_{4,5} = -800 sets the pair shift to 800, so the pair sum of
+        # C = {1,2,3} underflows, yet its pair terms e^{-100} dominate
+        m = rd.InteractionModel(5, 2)
+        theta = rd.ParameterVector.from_dict(
+            m, {"4,5": -800.0, "1,2": -50.0, "1,3": -50.0, "2,3": -50.0}
+        )
+        calls = self.count_fallbacks(monkeypatch)
+        labels, values = rd.corner_lhs(theta, m)
+        assert (1, 2, 3) in calls
+        monkeypatch.undo()
+        _, ref_values = reference_lhs(theta, m)
+        assert_allclose(values[labels.index((1, 2, 3))], 3 * math.exp(-100), rtol=1e-12)
+        assert_allclose(values, ref_values, rtol=1e-12)
+
+    def test_overflow_gives_inf_not_nan(self):
+        m = rd.InteractionModel(2, 1)
+        theta = rd.ParameterVector(m, [0.0, 800.0, 0.0])
+        _, values = rd.corner_lhs(theta, m)
+        assert values.tolist() == [math.inf]
+        verdict = rd.is_corner_optimal_by_theorem(theta, m)
+        assert not verdict.optimal and verdict.max_directional_value == math.inf
+
+        m = rd.InteractionModel(4, 2)
+        theta = rd.ParameterVector.from_dict(m, {"1": 800.0, "2,3": -750.0})
+        _, values = rd.corner_lhs(theta, m)
+        _, ref_values = reference_lhs(theta, m)
+        assert not np.isnan(values).any()
+        assert np.isinf(values).any() and np.isfinite(values).any()
+        assert_allclose(values, ref_values, rtol=1e-12)
+
+    def test_full_order_is_empty(self):
+        m = rd.InteractionModel(3, 3)
+        labels, values = rd.corner_lhs(rd.ParameterVector.zeros(m), m)
+        assert labels == () and values.shape == (0,)
+        verdict = rd.is_corner_optimal_by_theorem(rd.ParameterVector.zeros(m), m)
+        assert verdict.optimal and verdict.violated_labels == ()
 
 
 class TestTheoremVerdict:
