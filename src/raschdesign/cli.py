@@ -346,7 +346,8 @@ def cmd_center_path(k, d, lambdas, out, matrices_out):
             (lam, ParameterVector.symmetric(m, lam)) for lam in grid
         ]
         path = center_path(pairs, m)
-        dim = polytope_vertices(pairs[0][1], m).dim
+        # the chart dimension can change along the path; shorter rows are padded
+        dim = max(len(row.result.coordinates) for row in path.rows)
         header = ["param"] + [f"coord_{i + 1}" for i in range(dim)] + [
             "log_det", "status", "inside",
         ]
@@ -354,9 +355,10 @@ def cmd_center_path(k, d, lambdas, out, matrices_out):
         for row in path.rows:
             res = row.result
             inside = "" if res.inside_polytope is None else str(res.inside_polytope).lower()
+            coords = [_fmt(v) for v in res.coordinates]
             lines.append(",".join(
                 [_fmt(row.param)]
-                + [_fmt(v) for v in res.coordinates]
+                + coords + [""] * (dim - len(coords))
                 + [_fmt(res.log_det), res.status.value, inside]
             ))
         Path(out).write_text("\n".join(lines) + "\n")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -397,15 +398,35 @@ def fisher_information(
     w: Design, theta: ParameterVector, m: InteractionModel
 ) -> np.ndarray:
     """Fisher information: weighted sum of lambda(x) f(x) f(x)^T over the support."""
-    _check_model(theta, m)
     if w.k != m.k:
         raise ValueError(f"design on k={w.k} rules does not match model k={m.k}")
-    sup = np.fromiter(w.support, dtype=np.int64)
-    rows = regression_matrix(m, sup).astype(float)
-    wl = np.fromiter((w.weights[x] for x in w.support), dtype=float)
-    wl = wl * np.exp(rows @ theta.values)
-    mat = (rows * wl[:, None]).T @ rows
-    return 0.5 * (mat + mat.T)
+    sup = np.fromiter(w.support, dtype=np.intp)
+    wl = np.zeros(1 << m.k)
+    wl[sup] = np.fromiter(w.weights.values(), dtype=float) * intensities(theta, m)[sup]
+    return _information(wl, m)
+
+
+@lru_cache(maxsize=8)
+def _union_index(k: int, d: int) -> np.ndarray:
+    """p x p masks A|B over pairs of parameter subsets; cached, so read-only."""
+    masks = np.asarray(InteractionModel(k, d).masks, dtype=np.intp)
+    index = masks[:, None] | masks[None, :]
+    index.setflags(write=False)
+    return index
+
+
+def _information(wl: np.ndarray, m: InteractionModel) -> np.ndarray:
+    """sum_x wl[x] f(x) f(x)^T.  M_AB sums ``wl`` (weight times intensity, by
+    mask) over the supersets of A|B: a zeta transform of the reversed ``wl``."""
+    return _zeta(wl[::-1].copy())[((1 << m.k) - 1) ^ _union_index(m.k, m.d)]
+
+
+def _sensitivities(low: np.ndarray, lam: np.ndarray, m: InteractionModel) -> np.ndarray:
+    """lambda(x) f(x)^T M^{-1} f(x) for M = low low^T.  The zeta transform of
+    M^{-1} scattered onto the masks A|B sums (M^{-1})_AB over A|B inside x."""
+    inv = np.linalg.inv(low)
+    g = np.bincount(_union_index(m.k, m.d).ravel(), (inv.T @ inv).ravel(), 1 << m.k)
+    return lam * _zeta(g)
 
 
 def model_matrix(m: InteractionModel) -> np.ndarray:

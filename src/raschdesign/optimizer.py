@@ -3,7 +3,11 @@
 The iteration w_x <- w_x * d(x) / p, with d(x) the sensitivity
 lambda(x) f(x)^T M(w)^{-1} f(x), has the D-optimal designs as its fixed
 points and never decreases log det M.  Convergence is declared through
-the equivalence theorem: stop when max_x d(x) <= p (1 + tol).
+the equivalence theorem: stop when max_x d(x) <= p (1 + tol).  M and d
+come from two identities on the 2^k subset lattice, each one zeta
+transform: M_AB sums w_x lambda(x) over x containing A|B, and
+f(x)^T M^{-1} f(x) sums (M^{-1})_AB over A|B inside x.  An iteration
+costs O(k 2^k + p^3) time and O(2^k + p^2) memory.
 
 After every step that did not stop, settings that cannot carry weight in
 any D-optimal design are deleted from the support by the bound of Harman
@@ -36,11 +40,11 @@ from .model import (
     Design,
     InteractionModel,
     ParameterVector,
-    _check_model,
     _cholesky,
-    regression_matrix,
+    _information,
+    _sensitivities,
+    intensities,
 )
-from .regions import _sensitivities_from_factor
 
 
 class DesignStructure(Enum):
@@ -119,12 +123,10 @@ def optimize_design(
     A run that exhausts ``max_iterations`` returns the last iterate with
     ``converged=False``.
     """
-    _check_model(theta, m)
     cfg = cfg or OptimizerConfig()
     n = 1 << m.k
     p = float(m.p)
-    rows = regression_matrix(m).astype(float)
-    lam = np.exp(rows @ theta.values)
+    lam = intensities(theta, m)
 
     w = np.zeros(n)
     if cfg.seed_design is None:
@@ -145,13 +147,13 @@ def optimize_design(
 
     for iterations in range(cfg.max_iterations + 1):
         try:
-            low = _cholesky(_symmetric_information(w, rows, lam))
+            low = _cholesky(_information(w * lam, m))
         except np.linalg.LinAlgError as exc:
             raise SingularInformation(
                 "information matrix of the current iterate is singular"
             ) from exc
         log_det = 2.0 * float(np.sum(np.log(np.diag(low))))
-        d = _sensitivities_from_factor(low, rows, lam)
+        d = _sensitivities(low, lam, m)
         trace.append(log_det)
         if last_log_det is not None and log_det < last_log_det - 1e-12 * max(
             1.0, abs(last_log_det)
@@ -204,14 +206,6 @@ def optimize_design(
         support_size=support_size,
         caratheodory_ok=support_size <= caratheodory_bound(m),
     )
-
-
-def _symmetric_information(w, rows, lam):
-    active = w > 0
-    ra = rows[active]
-    wl = w[active] * lam[active]
-    mat = (ra * wl[:, None]).T @ ra
-    return 0.5 * (mat + mat.T)
 
 
 def find_transition(

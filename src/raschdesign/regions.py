@@ -21,8 +21,8 @@ The module also provides two deliberately independent D-optimality
 certificates for cross-checking:
 
 * ``kw_certificate`` computes the sensitivity lambda(x) f(x)^T M^{-1} f(x)
-  for every setting from the dense information matrix (the equivalence
-  theorem; the bound is p).
+  for every setting (the equivalence theorem; the bound is p) from two
+  zeta transforms: one builds M, one sums M^{-1} over the pairs A|B in x.
 * ``saturated_kw_values`` computes the same quantity for saturated uniform
   designs through the inverse of the support's regression matrix and the
   support intensities, without ever forming M.
@@ -51,9 +51,11 @@ from .model import (
     ParameterVector,
     _check_model,
     _cholesky,
+    _sensitivities,
     _zeta,
     choose,
     fisher_information,
+    intensities,
     mask_subset,
     regression_matrix,
     setting_bits,
@@ -260,31 +262,14 @@ def sensitivities(
     w: Design, theta: ParameterVector, m: InteractionModel
 ) -> np.ndarray:
     """Sensitivity d(x) = lambda(x) f(x)^T M^{-1} f(x) for every setting."""
-    _check_model(theta, m)
-    mat = fisher_information(w, theta, m)
     try:
-        low = _cholesky(mat)
+        low = _cholesky(fisher_information(w, theta, m))
     except np.linalg.LinAlgError as exc:
         raise SingularInformation(
             f"information matrix of a design on {len(w.support)} points "
             f"is not positive definite (p={m.p})"
         ) from exc
-    rows = regression_matrix(m).astype(float)
-    return _sensitivities_from_factor(low, rows, np.exp(rows @ theta.values))
-
-
-def _sensitivities_from_factor(
-    low: np.ndarray, rows: np.ndarray, lam: np.ndarray
-) -> np.ndarray:
-    """lambda(x) f(x)^T M^{-1} f(x) per row, given M = low low^T.
-
-    With Z = low^{-1} F^T, f(x)^T M^{-1} f(x) is the squared norm of Z's
-    column x.  Z is formed from the explicit p x p inverse of the factor
-    and one matrix product, which for the 2^k x p regression matrix is
-    faster than a triangular solve against its transpose.
-    """
-    z = np.linalg.inv(low) @ rows.T
-    return lam * np.einsum("ij,ij->j", z, z)
+    return _sensitivities(low, intensities(theta, m), m)
 
 
 def kw_certificate(

@@ -199,9 +199,10 @@ def verify_transformation(
     congruent = q @ m_orig @ q.T
     scale = max(1.0, float(np.max(np.abs(congruent))))
     max_residual = float(np.max(np.abs(m_moved - congruent))) / scale
-    sign_a, logdet_a = np.linalg.slogdet(m_moved)
-    sign_b, logdet_b = np.linalg.slogdet(m_orig)
-    if sign_a <= 0 or sign_b <= 0:
+    _, logdet_a = np.linalg.slogdet(m_moved)
+    _, logdet_b = np.linalg.slogdet(m_orig)
+    # a rank-deficient M has a determinant of pure rounding, sign and log included
+    if min(np.linalg.matrix_rank(a, hermitian=True) for a in (m_moved, m_orig)) < m.p:
         det_difference = float(
             abs(np.linalg.det(m_moved) - np.linalg.det(m_orig))
         )

@@ -1,5 +1,6 @@
 """Command-line interface: inputs, outputs, exit codes, determinism."""
 
+import csv
 import json
 import math
 import os
@@ -263,6 +264,23 @@ class TestCenterPath:
         ]
         assert flips == [0.414]
         assert inside[0.414] == "false" and inside[0.415] == "true"
+
+    def test_chart_dimension_change_keeps_rows_rectangular(self, runner, tmp_path):
+        # the chart has 6 coordinates at lambda=1 and 7 at the other points
+        out = tmp_path / "path.csv"
+        result = runner.invoke(
+            main, ["center-path", "--k", "3", "--d", "1",
+                   "--lambdas", "1,0.8,0.5,0.3", "--out", str(out)],
+        )
+        assert result.exit_code == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 5
+        assert {line.count(",") for line in lines} == {lines[0].count(",")}
+        assert lines[0].split(",")[-4] == "coord_7"
+        with out.open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert all(row["status"] in {"converged", "unbounded"} for row in rows)
+        assert rows[0]["coord_7"] == ""
 
     def test_matrices_export(self, runner, tmp_path):
         out = tmp_path / "path.csv"

@@ -1,12 +1,13 @@
 """Corner-design optimality: inequality system, certificates, slices, probe."""
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import raschdesign as rd
@@ -327,6 +328,29 @@ class TestKwCertificate:
             rd.kw_certificate(w, theta, m)
 
 
+def dense_information(w, theta, m):
+    """Oracle: M = F^T diag(w lambda) F from the 2^k x p regression matrix."""
+    rows = rd.regression_matrix(m).astype(float)
+    lam = np.exp(rows @ theta.values)
+    weights = np.array([w.weight(x) for x in m.settings()])
+    return rows.T @ (rows * (weights * lam)[:, None]), rows, lam
+
+
+def dense_sensitivities(w, theta, m):
+    """Oracle: lambda(x) f(x)^T M^{-1} f(x) by a dense solve per setting."""
+    mat, rows, lam = dense_information(w, theta, m)
+    return lam * np.einsum("ij,ji->i", rows, np.linalg.solve(mat, rows.T))
+
+
+def assert_kernels_match_oracle(w, theta, m):
+    assert_allclose(rd.fisher_information(w, theta, m),
+                    dense_information(w, theta, m)[0], rtol=1e-12)
+    got = rd.sensitivities(w, theta, m)
+    assert_allclose(got, dense_sensitivities(w, theta, m), rtol=1e-10)
+    weights = np.array([w.weight(x) for x in m.settings()])
+    assert abs(weights @ got - m.p) <= 1e-9 * m.p
+
+
 class TestSensitivityKernel:
     @pytest.mark.parametrize("k,d", [(2, 1), (6, 2), (10, 2), (10, 3), (12, 3)])
     def test_matches_dense_solve(self, k, d):
@@ -335,15 +359,59 @@ class TestSensitivityKernel:
         theta = rd.ParameterVector(m, rng.normal(scale=0.3, size=m.p))
         w = rd.Design(k, dict(enumerate(rng.dirichlet(np.ones(1 << k)))))
         got = rd.sensitivities(w, theta, m)
-
-        rows = rd.regression_matrix(m).astype(float)
-        mat = rd.fisher_information(w, theta, m)
-        lam = np.exp(rows @ theta.values)
-        expected = lam * np.einsum("ij,ji->i", rows, np.linalg.solve(mat, rows.T))
-        assert_allclose(got, expected, rtol=1e-10)
+        assert_allclose(got, dense_sensitivities(w, theta, m), rtol=1e-10)
 
         weights = np.array([w.weight(x) for x in m.settings()])
         assert abs(weights @ got - m.p) <= 1e-9 * m.p
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_lattice_kernels_match_dense_oracle(self, data):
+        k = data.draw(st.integers(min_value=1, max_value=8), label="k")
+        d = data.draw(st.integers(min_value=1, max_value=min(k, 3)), label="d")
+        m = rd.InteractionModel(k, d)
+        # a flip image of the corner support spans R^p; extra points are optional,
+        # so the smallest draws are saturated designs
+        flip = data.draw(st.integers(min_value=0, max_value=(1 << k) - 1), label="flip")
+        extra = data.draw(st.sets(st.integers(min_value=0, max_value=(1 << k) - 1)),
+                          label="extra")
+        support = sorted({x for x in m.settings() if (x ^ flip).bit_count() <= d} | extra)
+        raw = np.array(data.draw(st.lists(
+            st.floats(min_value=0.01, max_value=1.0),
+            min_size=len(support), max_size=len(support),
+        ), label="weights"))
+        w = rd.Design(k, dict(zip(support, raw / raw.sum())))
+        theta = rd.ParameterVector(m, data.draw(st.lists(
+            st.floats(min_value=-1.0, max_value=0.5), min_size=m.p, max_size=m.p,
+        ), label="beta"))
+        # both computations lose about cond(M) * eps; past 1e6 that exceeds
+        # the 1e-10 agreement the oracle check asks for
+        assume(np.linalg.cond(dense_information(w, theta, m)[0]) < 1e6)
+        assert_kernels_match_oracle(w, theta, m)
+
+    def test_badly_conditioned_optimum(self):
+        m = rd.InteractionModel(8, 3)
+        theta = rd.ParameterVector.symmetric(m, 1e-3, 0.5)
+        w = rd.optimize_design(theta, m).design
+        assert np.linalg.cond(dense_information(w, theta, m)[0]) > 1e9
+        assert_kernels_match_oracle(w, theta, m)
+
+    def test_hot_paths_stay_small(self):
+        # a 2^k x p matrix at (14, 3) alone is 61 MB in float64
+        m = rd.InteractionModel(14, 3)
+        theta = rd.ParameterVector.symmetric(m, 0.3, 0.6)
+        w = rd.corner_design(m)
+        tracemalloc.start()
+        try:
+            rd.optimize_design(theta, m)
+            optimize_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            rd.kw_certificate(w, theta, m)
+            certificate_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert optimize_peak < 30e6
+        assert certificate_peak < 30e6
 
 
 class TestSaturatedValues:
