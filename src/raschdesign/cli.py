@@ -23,17 +23,18 @@ import numpy as np
 from . import __version__
 from .exceptions import InputFormatError, RaschDesignError
 from .model import InteractionModel, ParameterVector, setting_string
-from .geometry import center_path, lmi_slice, polytope_vertices
+from .geometry import center_path
 from .optimizer import OptimizerConfig, optimize_design
 from .regions import (
+    _VERDICTS,
     THEOREM_TOL,
+    _slice_grid,
     _theorem_verdict,
     corner_design,
     corner_lhs,
     is_corner_optimal_by_theorem,
     kw_certificate,
     redundancy_probe,
-    region_slice,
     saturated_kw_values,
 )
 from .serialize import load_design, load_parameters, save_design
@@ -364,16 +365,16 @@ def cmd_center_path(k, d, lambdas, out, matrices_out):
         Path(out).write_text("\n".join(lines) + "\n")
         outputs = [out]
         if matrices_out:
-            dump = []
-            for (lam, theta), row in zip(pairs, path.rows):
-                sl = lmi_slice(polytope_vertices(theta, m))
-                dump.append({
-                    "param": lam,
-                    "labels": list(sl.labels),
-                    "base": rows_of(sl.base),
-                    "directions": [rows_of(dmat) for dmat in sl.directions],
+            dump = [
+                {
+                    "param": row.param,
+                    "labels": list(row.lmi.labels),
+                    "base": rows_of(row.lmi.base),
+                    "directions": [rows_of(dmat) for dmat in row.lmi.directions],
                     "center": rows_of(row.result.matrix),
-                })
+                }
+                for row in path.rows
+            ]
             Path(matrices_out).write_text(_json(dump))
             outputs.append(matrices_out)
         if path.first_exit is not None:
@@ -398,18 +399,19 @@ def cmd_region_slice(k, d, s_grid, t_grid, out):
         if d != 2:
             raise click.UsageError("region-slice requires an order-2 model (--d 2)")
         m = InteractionModel(k, d)
-        rows = region_slice(m, _parse_grid(s_grid), _parse_grid(t_grid))
+        blocks = _slice_grid(m, _parse_grid(s_grid), _parse_grid(t_grid))
         header = ["s", "t"] + [f"lhs_{c}" for c in range(3, k + 1)] + [
             "binding_c", "verdict",
         ]
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(
-                [_fmt(row.s), _fmt(row.t)]
-                + [_fmt(v) for v in row.lhs]
-                + [str(row.binding_c), row.verdict]
-            ))
-        Path(out).write_text("\n".join(lines) + "\n")
+        # s, t and lhs_3..lhs_k; "%.12g" prints the same digits as _fmt
+        line = ",".join(["%.12g"] * k + ["%d", "%s"]) + "\n"
+        with open(out, "w") as fh:
+            fh.write(",".join(header) + "\n")
+            for ss, tt, values, binding, verdict in blocks:
+                fh.writelines(map(line.__mod__, zip(
+                    ss.tolist(), tt.tolist(), *values.T.tolist(), binding.tolist(),
+                    map(_VERDICTS.__getitem__, verdict.tolist()),
+                )))
         _write_manifest(
             "region-slice", [],
             {"k": k, "d": d, "s_grid": s_grid, "t_grid": t_grid}, None, [out],

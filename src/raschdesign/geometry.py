@@ -35,6 +35,8 @@ from .model import (
 MEMBERSHIP_TOL = 1e-8
 #: Relative rank threshold for selecting independent directions.
 RANK_TOL = 1e-10
+#: A Newton decrement below this times max(1, |log det|) is rounding.
+_ROUNDING = 8 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +136,8 @@ def polytope_vertices(theta: ParameterVector, m: InteractionModel) -> PolytopeMo
 def lmi_slice(pm: PolytopeModel) -> LmiSlice:
     """The LMI relaxation in the polytope's affine chart."""
     labels = tuple(setting_string(x, pm.model.k) for x in pm.direction_settings)
-    return LmiSlice(pm.vertices[pm.base_index], pm.directions, labels)
+    # a copy, so that a kept slice does not hold on to all 2^k vertices
+    return LmiSlice(pm.vertices[pm.base_index].copy(), pm.directions, labels)
 
 
 def vertex_coordinates(pm: PolytopeModel) -> np.ndarray:
@@ -186,7 +189,10 @@ def analytic_center(
     """Damped Newton maximization of log det over the LMI slice.
 
     Backtracking halves the step until the iterate stays positive definite
-    and achieves sufficient increase.  A log det gain beyond
+    and achieves sufficient increase.  The run converges when the Newton
+    decrement is at most ``decrement_tol``, or when it is at the rounding
+    level of log det, where one last pure Newton step is taken without
+    the increase test.  A log det gain beyond
     ``log_det_ceiling`` above the start is reported as unbounded.  The
     default start is the coordinate centroid of the vertices, which
     requires ``polytope``; when ``polytope`` is given, membership of the
@@ -212,6 +218,16 @@ def analytic_center(
             step, *_ = np.linalg.lstsq(-hess, grad, rcond=None)
         decrement = float(grad @ step)
         if decrement <= decrement_tol:
+            status = CenterStatus.CONVERGED
+            break
+        if decrement <= _ROUNDING * max(1.0, abs(value)):
+            # The gain left, decrement / 2, is below the rounding of log det,
+            # so the sufficient-increase test below can no longer see it.
+            # The pure Newton step still polishes the coordinates.
+            candidate = u + step
+            if _is_pd(sl.matrix(candidate)):
+                u = candidate
+                value, grad, hess = log_det_gradient_hessian(sl, u)
             status = CenterStatus.CONVERGED
             break
         scale = 1.0
@@ -324,6 +340,8 @@ def polytope_membership(
 class CenterPathRow:
     param: float
     result: CenterResult
+    #: the LMI slice whose center ``result`` is.
+    lmi: LmiSlice
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,7 +379,7 @@ def center_path(
         ):
             start = prev_u
         result = analytic_center(sl, start=start, polytope=pm)
-        rows.append(CenterPathRow(param=param, result=result))
+        rows.append(CenterPathRow(param=param, result=result, lmi=sl))
         if (
             first_exit is None
             and result.inside_polytope is not None

@@ -27,6 +27,17 @@ certificates for cross-checking:
   designs through the inverse of the support's regression matrix and the
   support intensities, without ever forming M.
 
+On the exchangeable d = 2 slice (mu_i = s, mu_ij = t) every C with
+|C| = c has the same left-hand side,
+LHS_c = s^(c-1) t^(P-1) (C(c-1,2)^2 s t + c (c-2)^2 t + P s), P = C(c,2).
+``symmetric_slice`` sums its three terms with ``fsum`` at one point and is
+the reference.  ``_slice_values`` is the one array kernel, with a single
+exp per entry; ``region_slice``, the CLI's region-slice writer and
+``redundancy_probe`` run it over blocks of ``_BLOCK`` points, so their
+temporaries stay at a few hundred KB whatever the grid or sample count.
+A 10^6-sample probe at k = 12 holds its two sample arrays (16 MB) and
+little else.
+
 For d = 1 (with base parameter 0) the inequality system and the
 certificates agree point by point.  For d >= 2 the system's product
 condition "A != B" differs from the condition "A not a subset of B" that
@@ -358,25 +369,108 @@ def symmetric_slice(
     return out
 
 
+#: Points per block of the slice kernel.  ``region_slice``, the CLI's
+#: region-slice writer and ``redundancy_probe`` evaluate their points this
+#: many at a time, so no temporary grows with the grid or the sample count.
+#: At k = 12 a block's arrays are 80 KB, below glibc's default 128 KiB
+#: mmap threshold; 8192-point blocks, mapped and faulted in afresh each
+#: time, made a fresh 10^6-sample probe 20% slower on a 2-core Linux host.
+_BLOCK = 1 << 10
+
+#: Verdict names of the slice, indexed by the codes of ``_slice_verdicts``.
+_VERDICTS = ("optimal", "boundary", "not-optimal")
+
+
+@lru_cache(maxsize=8)
+def _slice_coefficients(k: int):
+    """Per-c constants of the exchangeable slice, c = 3..k.
+
+    ``LHS_c = s^(c-1) t^(P-1) (lead s t + single t + pair s)`` with
+    P = C(c, 2), lead = C(c-1, 2)^2, single = c (c-2)^2 and pair = P.
+    """
+    cs = np.arange(3, k + 1)
+    pairs = cs * (cs - 1) // 2
+    table = (
+        cs,
+        (cs - 1).astype(float),
+        (pairs - 1).astype(float),
+        np.array([choose(c - 1, 2) ** 2 for c in cs], dtype=float),
+        np.array([c * choose(c - 2, 1) ** 2 for c in cs], dtype=float),
+        pairs.astype(float),
+    )
+    # the cache hands these arrays to every caller
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
 def _slice_values(
     m: InteractionModel, s: np.ndarray, t: np.ndarray
 ) -> np.ndarray:
-    """Vectorized symmetric slice: rows = points, columns = c = 3..k."""
+    """Vectorized symmetric slice: rows = points, columns = c = 3..k.
+
+    One exp per entry: ``s^(c-1) t^(P-1)`` times the bracket of
+    ``_slice_coefficients``.  Each term is a product of finite factors, so
+    an entry is 0 or inf where the exponent under- or overflows, never NaN.
+    """
     if m.d != 2:
         raise ValueError(f"symmetric slice is defined for d=2 models, got d={m.d}")
-    ls = np.log(s)[:, None]
-    lt = np.log(t)[:, None]
-    cs = np.arange(3, m.k + 1)
-    pairs = cs * (cs - 1) // 2
-    lead = np.array([choose(c - 1, 2) ** 2 for c in cs], dtype=float)
-    single = np.array([c * choose(c - 2, 1) ** 2 for c in cs], dtype=float)
-    pair = np.array([choose(c, 2) for c in cs], dtype=float)
+    _, s_pow, t_pow, lead, single, pair = _slice_coefficients(m.k)
+    s = np.asarray(s, dtype=float)[:, None]
+    t = np.asarray(t, dtype=float)[:, None]
     with np.errstate(over="ignore", under="ignore"):
-        return (
-            lead * np.exp(cs * ls + pairs * lt)
-            + single * np.exp((cs - 1) * ls + pairs * lt)
-            + pair * np.exp(cs * ls + (pairs - 1) * lt)
-        )
+        base = np.exp(np.log(s) * s_pow + np.log(t) * t_pow)
+        st = base * s
+        return lead * (st * t) + single * (base * t) + pair * st
+
+
+def _slice_verdicts(
+    values: np.ndarray, k: int, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``binding_c`` and verdict code of every row of ``_slice_values``.
+
+    The rule of ``SliceRow``: outside the region the smallest violated c,
+    otherwise the argmax; the verdict is "boundary" when the maximum is at
+    least 1 - tol.
+    """
+    violated = values > 1.0 + tol
+    outside = violated.any(axis=1)
+    top = values.argmax(axis=1)
+    column = np.where(outside, violated.argmax(axis=1), top)
+    near = values[np.arange(len(values)), top] >= 1.0 - tol
+    return _slice_coefficients(k)[0][column], np.where(outside, 2, near)
+
+
+def _slice_grid(
+    m: InteractionModel,
+    s_values: Sequence[float],
+    t_values: Sequence[float],
+    tol: float = THEOREM_TOL,
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Check a rectangular grid, then evaluate it block by block.
+
+    The checks run at once; the returned iterator yields, for ``_BLOCK``
+    consecutive points in s-major order, the arrays
+    ``(s, t, values, binding_c, verdict code)``.
+    """
+    s_values = np.asarray(list(s_values), dtype=float)
+    t_values = np.asarray(list(t_values), dtype=float)
+    if s_values.size == 0 or t_values.size == 0:
+        raise ValueError("empty grid")
+    if np.any(s_values <= 0) or np.any(t_values <= 0):
+        raise ValueError("grid values must be positive")
+    if m.d != 2:
+        raise ValueError(f"symmetric slice is defined for d=2 models, got d={m.d}")
+    n_points = s_values.size * t_values.size
+
+    def blocks():
+        for start in range(0, n_points, _BLOCK):
+            index = np.arange(start, min(start + _BLOCK, n_points))
+            ss, tt = s_values[index // t_values.size], t_values[index % t_values.size]
+            values = _slice_values(m, ss, tt)
+            yield (ss, tt, values, *_slice_verdicts(values, m.k, tol))
+
+    return blocks()
 
 
 @dataclass(frozen=True)
@@ -405,27 +499,12 @@ def region_slice(
 
     Rows are ordered s-major then t, matching the grid index order.
     """
-    s_values = np.asarray(list(s_values), dtype=float)
-    t_values = np.asarray(list(t_values), dtype=float)
-    if s_values.size == 0 or t_values.size == 0:
-        raise ValueError("empty grid")
-    if np.any(s_values <= 0) or np.any(t_values <= 0):
-        raise ValueError("grid values must be positive")
-    ss, tt = np.meshgrid(s_values, t_values, indexing="ij")
-    ss, tt = ss.ravel(), tt.ravel()
-    values = _slice_values(m, ss, tt)
-    cs = np.arange(3, m.k + 1)
-    rows = []
-    for i in range(ss.size):
-        lhs = values[i]
-        violated = np.nonzero(lhs > 1.0 + tol)[0]
-        if violated.size:
-            binding = int(cs[violated[0]])
-            verdict = "not-optimal"
-        else:
-            binding = int(cs[int(np.argmax(lhs))])
-            verdict = "boundary" if lhs.max() >= 1.0 - tol else "optimal"
-        rows.append(SliceRow(float(ss[i]), float(tt[i]), tuple(lhs), binding, verdict))
+    rows: list[SliceRow] = []
+    for ss, tt, values, binding, verdict in _slice_grid(m, s_values, t_values, tol):
+        rows.extend(map(
+            SliceRow, ss.tolist(), tt.tolist(), map(tuple, values.tolist()),
+            binding.tolist(), map(_VERDICTS.__getitem__, verdict.tolist()),
+        ))
     return rows
 
 
@@ -490,20 +569,23 @@ def redundancy_probe(
     rng = np.random.default_rng(seed)
     ss = rng.uniform(s_range[0], s_range[1], size=n_samples)
     tt = rng.uniform(t_range[0], t_range[1], size=n_samples)
-    values = _slice_values(m, ss, tt)
-    violated = values > 1.0 + tol
-    n_violated_per_row = violated.sum(axis=1)
+    cs = _slice_coefficients(m.k)[0]
+    n_violated = np.zeros(cs.size, dtype=np.intp)
+    n_witness = np.zeros(cs.size, dtype=np.intp)
+    first = np.full(cs.size, -1, dtype=np.intp)
+    for start in range(0, n_samples, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        violated = _slice_values(m, ss[block], tt[block]) > 1.0 + tol
+        unique = violated & (violated.sum(axis=1) == 1)[:, None]
+        n_violated += violated.sum(axis=0)
+        n_witness += unique.sum(axis=0)
+        found = (first < 0) & unique.any(axis=0)
+        first[found] = start + unique.argmax(axis=0)[found]
     entries = {}
-    for j, c in enumerate(range(3, m.k + 1)):
-        unique = violated[:, j] & (n_violated_per_row == 1)
-        idx = np.nonzero(unique)[0]
-        witness = (float(ss[idx[0]]), float(tt[idx[0]])) if idx.size else None
-        entries[c] = ProbeEntry(
-            c=c,
-            witness=witness,
-            n_violated=int(violated[:, j].sum()),
-            n_witness=int(idx.size),
-        )
+    for c, i, n_v, n_w in zip(cs.tolist(), first.tolist(), n_violated.tolist(),
+                              n_witness.tolist()):
+        witness = (float(ss[i]), float(tt[i])) if i >= 0 else None
+        entries[c] = ProbeEntry(c=c, witness=witness, n_violated=n_v, n_witness=n_w)
     return ProbeReport(
         s_range=tuple(s_range),
         t_range=tuple(t_range),

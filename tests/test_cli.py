@@ -7,11 +7,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from numpy.testing import assert_allclose
 
 import raschdesign as rd
 from raschdesign.cli import main
@@ -299,6 +302,26 @@ class TestCenterPath:
         # base vertex of the slice is the rank-one matrix at the origin setting
         assert entry["base"][0][0] == 1.0 and entry["base"][1][1] == 0.0
 
+    def test_matrices_are_the_solved_slices(self, runner, tmp_path):
+        # the chart has 6 directions at lambda=1 and 7 at the other points
+        lambdas = [1.0, 0.8, 0.5]
+        matrices = tmp_path / "matrices.json"
+        result = runner.invoke(
+            main, ["center-path", "--k", "3", "--d", "1",
+                   "--lambdas", ",".join(map(str, lambdas)),
+                   "--out", str(tmp_path / "path.csv"), "--matrices-out", str(matrices)],
+        )
+        assert result.exit_code == 0
+        dump = json.loads(matrices.read_text())
+        m = rd.InteractionModel(3, 1)
+        assert [entry["param"] for entry in dump] == lambdas
+        for lam, entry in zip(lambdas, dump):
+            sl = rd.lmi_slice(rd.polytope_vertices(rd.ParameterVector.symmetric(m, lam), m))
+            assert entry["labels"] == list(sl.labels)
+            np.testing.assert_array_equal(entry["base"], sl.base)
+            np.testing.assert_array_equal(entry["directions"], sl.directions)
+        assert [len(entry["directions"]) for entry in dump] == [6, 7, 7]
+
     def test_exit_flag_printed(self, runner, tmp_path):
         out = tmp_path / "path.csv"
         result = runner.invoke(
@@ -336,6 +359,62 @@ class TestRegionSlice:
         )
         row = out.read_text().splitlines()[1]
         assert "0.891259621466" in row
+
+    def test_streamed_csv_equals_formatted_rows(self, runner, tmp_path):
+        # 37 x 61 points cross two block boundaries of the slice kernel
+        s_grid, t_grid = np.linspace(0.05, 0.45, 37), np.linspace(0.6, 1.3, 61)
+        out = tmp_path / "slice.csv"
+        result = runner.invoke(
+            main, ["region-slice", "--k", "12", "--d", "2",
+                   "--s-grid", ",".join(map(repr, s_grid.tolist())),
+                   "--t-grid", ",".join(map(repr, t_grid.tolist())),
+                   "--out", str(out)],
+        )
+        assert result.exit_code == 0
+        rows = rd.region_slice(rd.InteractionModel(12, 2), s_grid, t_grid)
+        fmt = "{:.12g}".format
+        expected = ["s,t," + ",".join(f"lhs_{c}" for c in range(3, 13))
+                    + ",binding_c,verdict"]
+        expected += [
+            ",".join([fmt(r.s), fmt(r.t), *map(fmt, r.lhs), str(r.binding_c), r.verdict])
+            for r in rows
+        ]
+        assert out.read_text() == "\n".join(expected) + "\n"
+        with out.open(newline="") as handle:
+            parsed = list(csv.DictReader(handle))
+        assert len(parsed) == len(rows)
+        for cells, row in zip(parsed, rows):
+            assert (int(cells["binding_c"]), cells["verdict"]) == (row.binding_c, row.verdict)
+            printed = [float(cells[key]) for key in ["s", "t"] + [f"lhs_{c}" for c in range(3, 13)]]
+            assert_allclose(printed, [row.s, row.t, *row.lhs], rtol=1e-11)
+
+    def test_edge_grid_raises_no_warning(self, runner, tmp_path):
+        out = tmp_path / "slice.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(
+                main, ["region-slice", "--k", "12", "--d", "2",
+                       "--s-grid", "1e-9,1e-3,1,50", "--t-grid", "1e-3,1,1.3,100",
+                       "--out", str(out)],
+            )
+        assert result.exit_code == 0, result.output
+        text = out.read_text()
+        assert len(text.splitlines()) == 17 and "nan" not in text
+
+    def test_benchmark_grid_memory(self, runner, tmp_path):
+        # 221 x 222 points at k=12; the whole-grid writer peaked at 55 MB
+        argv = ["region-slice", "--k", "12", "--d", "2",
+                "--s-grid", "0.01:1.00225:0.0045", "--t-grid", "0.5:1.49675:0.0045",
+                "--out", str(tmp_path / "slice.csv")]
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0
+        assert len((tmp_path / "slice.csv").read_text().splitlines()) == 1 + 221 * 222
+        assert peak < 40e6
 
     def test_empty_grid_exit_2(self, runner, tmp_path):
         result = runner.invoke(

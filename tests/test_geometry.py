@@ -213,6 +213,23 @@ class TestAnalyticCenter:
                 )
 
 
+    def test_rounding_level_decrement_converges(self):
+        # at this intensity the last Newton decrement, 1e-17, is above the
+        # old fixed tolerance 1e-18 but below the rounding of log det (-4.86)
+        m = rd.InteractionModel(2, 1)
+
+        def center(lam):
+            pm = rd.polytope_vertices(rd.ParameterVector.symmetric(m, lam), m)
+            return rd.analytic_center(rd.lmi_slice(pm), polytope=pm)
+
+        res = center(0.4548607060899141)
+        near = center(0.45486070609)
+        assert res.status is CenterStatus.CONVERGED
+        assert res.iterations <= 10
+        assert res.inside_polytope
+        assert_allclose(res.coordinates, near.coordinates, rtol=0, atol=1e-9)
+
+
 class TestMembership:
     def test_center_inside_with_barycentric_weights(self):
         m, theta = two_rule_model(0.5, 0.5)
@@ -309,6 +326,17 @@ class TestCenterPath:
         cold = rd.center_path(pairs, m, warm_start=False)
         for a, b in zip(warm.rows, cold.rows):
             assert_allclose(a.result.coordinates, b.result.coordinates, atol=1e-6)
+
+    def test_rows_carry_their_slice(self):
+        m = rd.InteractionModel(3, 1)
+        pairs = [(lam, rd.ParameterVector.symmetric(m, lam)) for lam in (1.0, 0.8)]
+        for row, (_, theta) in zip(rd.center_path(pairs, m).rows, pairs):
+            fresh = rd.lmi_slice(rd.polytope_vertices(theta, m))
+            assert row.lmi.labels == fresh.labels
+            np.testing.assert_array_equal(row.lmi.directions, fresh.directions)
+            np.testing.assert_array_equal(
+                row.result.matrix, row.lmi.matrix(row.result.coordinates)
+            )
 
     def test_single_point_grid(self):
         m = rd.InteractionModel(2, 1)

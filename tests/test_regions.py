@@ -585,3 +585,100 @@ class TestRedundancyProbe:
         m = rd.InteractionModel(10, 2)
         report = rd.redundancy_probe(m, (1e-6, 1.0), (1.0, 1.3), 50_000, seed=4)
         assert any(not report.entries[c].redundant_in_region for c in range(6, 11))
+
+
+def slice_reference(m, s, t):
+    """symmetric_slice as an array over c = 3..k."""
+    return np.array(list(rd.symmetric_slice(m, s, t).values()))
+
+
+def slice_rule(lhs, tol):
+    """binding_c and verdict of one point, by the rule SliceRow documents."""
+    violated = [c for c, v in enumerate(lhs, start=3) if v > 1.0 + tol]
+    if violated:
+        return violated[0], "not-optimal"
+    top = max(lhs)
+    return 3 + list(lhs).index(top), "boundary" if top >= 1.0 - tol else "optimal"
+
+
+class TestBlockedSliceKernel:
+    # 37 x 61 points: two block boundaries, and not a multiple of the block
+    S_GRID = np.linspace(0.05, 0.45, 37)
+    T_GRID = np.linspace(0.6, 1.3, 61)
+
+    @pytest.mark.parametrize("tol", [regions.THEOREM_TOL, 0.05])
+    def test_region_slice_matches_reference_and_rule(self, tol):
+        n = self.S_GRID.size * self.T_GRID.size
+        assert n > 2 * regions._BLOCK and n % regions._BLOCK
+        m = rd.InteractionModel(12, 2)
+        rows = rd.region_slice(m, self.S_GRID, self.T_GRID, tol=tol)
+        points = [(s, t) for s in self.S_GRID.tolist() for t in self.T_GRID.tolist()]
+        assert [(r.s, r.t) for r in rows] == points
+        for row in rows:
+            assert_allclose(row.lhs, slice_reference(m, row.s, row.t), rtol=1e-12)
+            assert (row.binding_c, row.verdict) == slice_rule(row.lhs, tol)
+        # the grid reaches all three verdicts at the wide tolerance
+        if tol == 0.05:
+            assert {r.verdict for r in rows} == {"optimal", "boundary", "not-optimal"}
+
+    def test_probe_matches_single_shot_reference(self):
+        m = rd.InteractionModel(10, 2)
+        n = 2 * regions._BLOCK + 17
+        s_range, t_range, seed = (0.1, 0.4), (1.1, 1.3), 3
+        report = rd.redundancy_probe(m, s_range, t_range, n, seed)
+
+        rng = np.random.default_rng(seed)
+        ss = rng.uniform(*s_range, size=n)
+        tt = rng.uniform(*t_range, size=n)
+        violated = regions._slice_values(m, ss, tt) > 1.0 + regions.THEOREM_TOL
+        unique = violated & (violated.sum(axis=1) == 1)[:, None]
+        expected = {}
+        for j, c in enumerate(range(3, m.k + 1)):
+            idx = np.flatnonzero(unique[:, j])
+            expected[str(c)] = {
+                "redundant_in_region": idx.size == 0,
+                "witness": [float(ss[idx[0]]), float(tt[idx[0]])] if idx.size else None,
+                "n_violated": int(violated[:, j].sum()),
+                "n_witness": int(idx.size),
+            }
+        assert report.as_dict() == expected
+        # a first witness lies past the first block, so the carry is exercised
+        firsts = [np.flatnonzero(ss == e.witness[0])[0]
+                  for e in report.entries.values() if e.witness]
+        assert max(firsts) >= regions._BLOCK
+
+    def test_probe_memory_does_not_grow_with_samples(self):
+        m = rd.InteractionModel(12, 2)
+        tracemalloc.start()
+        try:
+            rd.redundancy_probe(m, (1e-9, 1.0), (1.0, 1.3), 1_000_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the two sample arrays take 16 MB; a single-shot kernel took 270 MB
+        assert peak < 40e6
+
+    S_EDGE = [1e-9, 1e-3, 1.0, 50.0]
+    T_EDGE = [1e-3, 1.0, 1.3, 100.0]
+
+    def test_one_exp_kernel_at_edge_points(self):
+        m = rd.InteractionModel(12, 2)
+        ss, tt = (a.ravel() for a in np.meshgrid(self.S_EDGE, self.T_EDGE))
+        with np.errstate(all="raise"):
+            values = regions._slice_values(m, ss, tt)
+        reference = np.array([slice_reference(m, s, t) for s, t in zip(ss, tt)])
+        assert not np.isnan(values).any()
+        for pattern in (np.isinf, np.isfinite, lambda a: a == 0):
+            assert (pattern(values) == pattern(reference)).all()
+        finite = np.isfinite(reference)
+        assert_allclose(values[finite], reference[finite], rtol=1e-12)
+
+    def test_extreme_exponents_never_give_nan(self):
+        # beyond the float range each term is 0 or inf; 0 * inf must not appear
+        m = rd.InteractionModel(12, 2)
+        axis = np.r_[10.0 ** np.linspace(-300, 300, 61), 1e306, 1e307, 1e308]
+        ss, tt = (a.ravel() for a in np.meshgrid(axis, axis))
+        values = regions._slice_values(m, ss, tt)
+        assert not np.isnan(values).any()
+        reference = np.array([slice_reference(m, s, t) for s, t in zip(ss, tt)])
+        assert (np.isinf(values) == np.isinf(reference)).all()
