@@ -123,7 +123,7 @@ def _resolve_theta(k, d, params, beta, symmetric) -> ParameterVector:
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Comma list ("1,0.8,0.5") or range ("0.40:0.43:0.001")."""
+    """Comma list ("1,0.8,0.5") or range ("0.40:0.43:0.001") of finite numbers."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -132,6 +132,8 @@ def _parse_grid(text: str) -> list[float]:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise click.UsageError(f"bad number in grid {text!r}") from None
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise click.UsageError(f"grid {text!r} must hold finite numbers")
         if step <= 0:
             raise click.UsageError("grid step must be positive")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -144,6 +146,8 @@ def _parse_grid(text: str) -> list[float]:
         raise click.UsageError(f"bad number in grid {text!r}") from None
     if not values:
         raise click.UsageError(f"grid {text!r} is empty")
+    if not all(map(math.isfinite, values)):
+        raise click.UsageError(f"grid {text!r} must hold finite numbers")
     return values
 
 
@@ -440,6 +444,8 @@ def probe(k, d, s_range, t_range, samples, seed, out):
             lo, hi = float(parts[0]), float(parts[1])
         except ValueError:
             raise click.UsageError(f"bad number in --{name} {text!r}") from None
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise click.UsageError(f"--{name} needs finite lo and hi")
         if not 0 < lo < hi:
             raise click.UsageError(f"--{name} needs 0 < lo < hi")
         return lo, hi

@@ -421,12 +421,16 @@ def _information(wl: np.ndarray, m: InteractionModel) -> np.ndarray:
     return _zeta(wl[::-1].copy())[((1 << m.k) - 1) ^ _union_index(m.k, m.d)]
 
 
-def _sensitivities(low: np.ndarray, lam: np.ndarray, m: InteractionModel) -> np.ndarray:
-    """lambda(x) f(x)^T M^{-1} f(x) for M = low low^T.  The zeta transform of
-    M^{-1} scattered onto the masks A|B sums (M^{-1})_AB over A|B inside x."""
+def _sensitivities(
+    low: np.ndarray, lam: np.ndarray, m: InteractionModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """M^{-1} and lambda(x) f(x)^T M^{-1} f(x) for M = low low^T.  The zeta
+    transform of M^{-1} scattered onto the masks A|B sums (M^{-1})_AB over
+    A|B inside x."""
     inv = np.linalg.inv(low)
-    g = np.bincount(_union_index(m.k, m.d).ravel(), (inv.T @ inv).ravel(), 1 << m.k)
-    return lam * _zeta(g)
+    minv = inv.T @ inv
+    g = np.bincount(_union_index(m.k, m.d).ravel(), minv.ravel(), 1 << m.k)
+    return minv, lam * _zeta(g)
 
 
 def model_matrix(m: InteractionModel) -> np.ndarray:

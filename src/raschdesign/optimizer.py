@@ -1,4 +1,4 @@
-"""D-optimal approximate designs by multiplicative weight ascent.
+"""D-optimal approximate designs by multiplicative ascent with vertex exchange.
 
 The iteration w_x <- w_x * d(x) / p, with d(x) the sensitivity
 lambda(x) f(x)^T M(w)^{-1} f(x), has the D-optimal designs as its fixed
@@ -9,6 +9,30 @@ transform: M_AB sums w_x lambda(x) over x containing A|B, and
 f(x)^T M^{-1} f(x) sums (M^{-1})_AB over A|B inside x.  An iteration
 costs O(k 2^k + p^3) time and O(2^k + p^2) memory.
 
+Near a change of optimal support the multiplicative step crawls, so
+each iteration after the first may put one vertex-exchange step
+(Boehning 1986, Metrika 33:337-347; the first half of Yu's cocktail
+algorithm, Stat. Comput. 21:475-481, 2011) before it.  The step moves
+weight alpha from k, the support point with the smallest d, to
+j = argmax d.  With a_x = sqrt(lambda_x) f(x) and d_jk = a_j^T M^{-1} a_k,
+log det grows by log phi, where
+
+    phi = (1 + alpha d_j)(1 - alpha d_k) + alpha^2 d_jk^2,
+
+which is largest at alpha = (d_j - d_k) / (2 (d_j d_k - d_jk^2)), clipped
+to (0, w_k].  The step is taken only when log phi is at least the gain
+of the preceding multiplicative step, so no constant tunes it; it is
+skipped at iteration 0 and right after a deletion, where that gain is
+unknown.  The sensitivities of the new design follow from a rank-2
+identity, d'(x) = d(x) - lambda_x v_x^T C^{-1} v_x with
+v_x = (f(x)^T z_j, f(x)^T z_k), z = M^{-1} a and
+C = diag(1/alpha, -1/alpha) + A^T M^{-1} A for A = (a_j, a_k).  f(x)^T z
+for every x is one zeta transform of z placed on the masks, and an
+LDL^T split of the 2 x 2 form needs two such transforms with one 2^k
+buffer, so no second factorization is needed; the multiplicative step
+then uses d'.  A step not taken costs O(2^k + p^2): the argmin over the
+support and d_jk.  A step taken adds two zeta transforms, O(k 2^k).
+
 After every step that did not stop, settings that cannot carry weight in
 any D-optimal design are deleted from the support by the bound of Harman
 and Pronzato (2007, Stat. Probab. Lett. 77:90-94): with the gap
@@ -17,8 +41,15 @@ eps = max_x d(x) - p, a setting with
     d(x) < p (1 + eps/2 - sqrt(eps (4 + eps - 4/p)) / 2)
 
 lies outside every D-optimal support.  The remaining support contains
-every optimal one, which spans R^p, so deletion never loses rank.  The
-iteration itself is deterministic (uniform seed design, no randomness).
+every optimal one, which spans R^p, so deletion never loses rank.
+
+D-optimal weights on p points are uniform.  So a run that converges on
+more than p settings evaluates, once, the uniform design on its p
+heaviest settings, and returns that design when it is nonsingular and
+passes the same KW test; near the end of the corner region this turns
+a run that stopped with a small weight left on an extra setting into
+the saturated optimum.  The iteration is deterministic (uniform seed
+design, no randomness).
 """
 
 from __future__ import annotations
@@ -43,6 +74,7 @@ from .model import (
     _cholesky,
     _information,
     _sensitivities,
+    _zeta,
     intensities,
 )
 
@@ -77,9 +109,11 @@ class OptimizerResult:
     log_det: float
     structure: DesignStructure
     converged: bool
-    #: log det per evaluated iterate (ascending within each support segment).
+    #: log det per evaluated iterate (ascending within each support segment);
+    #: a snapped result's own log det is ``log_det``, not the last entry.
     log_det_trace: np.ndarray = field(repr=False)
-    #: trace indices after which settings were deleted from the support.
+    #: trace indices after which settings left the support: a
+    #: Harman-Pronzato deletion or an exchange step that emptied w_k.
     prune_iterations: tuple[int, ...]
     support_size: int
     caratheodory_ok: bool
@@ -110,23 +144,104 @@ def classify_structure(
     return DesignStructure.INTERIOR
 
 
+def _exchange(
+    w: np.ndarray,
+    d: np.ndarray,
+    j: int,
+    minv: np.ndarray,
+    lam: np.ndarray,
+    masks: np.ndarray,
+    gain: float,
+) -> tuple[np.ndarray, float, bool] | None:
+    """Optimal-length vertex exchange to the best setting ``j = argmax d``.
+
+    Moves weight alpha from k, the argmin of d over the support, to j
+    when the exact log det gain log(phi) is at least ``gain``.  Returns
+    the sensitivities of the new design, log(phi) and whether w_k was
+    emptied, and updates ``w`` in place; returns None and leaves ``w``
+    alone when the step is not taken.
+    """
+    k = int(np.where(w > 0, d, np.inf).argmin())
+    d_j, d_k, w_k = float(d[j]), float(d[k]), float(w[k])
+    # phi(alpha) <= 1 + alpha (d_j - d_k) for alpha <= w_k, since d_jk^2 <= d_j d_k
+    if math.log1p(w_k * (d_j - d_k)) < gain:
+        return None
+    in_k = (masks & k) == masks
+    u_j = ((masks & j) == masks) @ minv  # M^{-1} f_j, as M^{-1} is symmetric
+    root_j, root_k = math.sqrt(lam[j]), math.sqrt(lam[k])
+    d_jk = root_j * root_k * float(u_j @ in_k)
+    det_g = d_j * d_k - d_jk * d_jk
+    alpha = w_k if det_g <= 0.0 else min((d_j - d_k) / (2.0 * det_g), w_k)
+    log_phi = math.log1p(alpha * (d_j - d_k) - alpha * alpha * det_g)
+    if log_phi < gain:
+        return None
+
+    # d'(x) = d(x) - lambda_x v_x^T C^{-1} v_x with v_x = (f_x^T z_j, f_x^T z_k);
+    # as c_jj > 0, v^T C^{-1} v = v_j^2 / c_jj + (c_jj / det C) (f_x^T y)^2
+    # with y = z_k - (d_jk / c_jj) z_j, so two one-row transforms serve
+    c_jj = 1.0 / alpha + d_j
+    det_c = c_jj * (d_k - 1.0 / alpha) - d_jk * d_jk
+    z_j = root_j * u_j
+    y = root_k * (in_k @ minv) - (d_jk / c_jj) * z_j
+    update = np.zeros_like(d)
+    lattice = np.empty_like(d)
+    for vec, scale in ((z_j, 1.0 / c_jj), (y, c_jj / det_c)):
+        lattice.fill(0.0)
+        lattice[masks] = vec
+        _zeta(lattice)
+        lattice *= lattice
+        lattice *= scale
+        update += lattice
+    update *= lam
+    emptied = alpha == w_k
+    w[j] += alpha
+    w[k] = 0.0 if emptied else w_k - alpha
+    return np.subtract(d, update, out=update), log_phi, emptied
+
+
+def _snap(
+    w: np.ndarray, lam: np.ndarray, m: InteractionModel, tol: float
+) -> tuple[np.ndarray, float, float] | None:
+    """The uniform design on the p heaviest settings, if it passes the KW test.
+
+    D-optimal weights on p points are uniform, so a run that converged on
+    more than p settings next to a saturated optimum ends here.  Returns
+    those settings, the design's log det and max d, or None when the
+    design is singular or fails the test.
+    """
+    support = np.flatnonzero(w)
+    top = support[np.argpartition(w[support], len(support) - m.p)[len(support) - m.p:]]
+    wl = np.zeros_like(lam)
+    wl[top] = lam[top] / m.p
+    try:
+        low = _cholesky(_information(wl, m))
+    except np.linalg.LinAlgError:
+        return None
+    del wl
+    kw_max = float(np.max(_sensitivities(low, lam, m)[1]))
+    if kw_max > m.p * (1.0 + tol):
+        return None
+    return top, 2.0 * float(np.sum(np.log(np.diag(low)))), kw_max
+
+
 def optimize_design(
     theta: ParameterVector,
     m: InteractionModel,
     cfg: OptimizerConfig | None = None,
 ) -> OptimizerResult:
-    """Run the multiplicative ascent from the seed design (uniform by default).
+    """Run the ascent from the seed design (uniform by default).
 
     Raises ``SingularInformation`` when the seed design's information
     matrix does not span, and ``MonotonicityError`` if log det ever
-    decreases across multiplicative steps (a broken-sensitivity symptom).
-    A run that exhausts ``max_iterations`` returns the last iterate with
-    ``converged=False``.
+    decreases across exchange and multiplicative steps (a
+    broken-sensitivity symptom).  A run that exhausts ``max_iterations``
+    returns the last iterate with ``converged=False``.
     """
     cfg = cfg or OptimizerConfig()
     n = 1 << m.k
     p = float(m.p)
     lam = intensities(theta, m)
+    masks = np.asarray(m.masks, dtype=np.intp)
 
     w = np.zeros(n)
     if cfg.seed_design is None:
@@ -153,7 +268,7 @@ def optimize_design(
                 "information matrix of the current iterate is singular"
             ) from exc
         log_det = 2.0 * float(np.sum(np.log(np.diag(low))))
-        d = _sensitivities(low, lam, m)
+        minv, d = _sensitivities(low, lam, m)
         trace.append(log_det)
         if last_log_det is not None and log_det < last_log_det - 1e-12 * max(
             1.0, abs(last_log_det)
@@ -162,27 +277,39 @@ def optimize_design(
                 f"log det fell from {last_log_det!r} to {log_det!r} "
                 f"at iteration {iterations}"
             )
+        gain = None if last_log_det is None else log_det - last_log_det
         last_log_det = log_det
+        _check_average(w, d, p, iterations)
 
-        mean_d = float(w @ d)
-        if abs(mean_d - p) > 1e-9 * p:
-            raise NumericalCheckError(
-                f"sum of w_x d(x) = {mean_d!r} deviates from p = {p} "
-                f"at iteration {iterations}"
-            )
-
-        kw_max = float(np.max(d))
+        best = int(np.argmax(d))
+        kw_max = float(d[best])
         if kw_max <= p * (1.0 + cfg.kw_tolerance):
             converged = True
             break
         if iterations == cfg.max_iterations:
             break
 
-        active = w > 0
-        w[active] *= d[active] / p
+        step_d = d
+        if gain is not None:
+            step = _exchange(w, d, best, minv, lam, masks, gain)
+            if step is not None:
+                step_d, log_phi, emptied = step
+                last_log_det += log_phi
+                if emptied:
+                    prunes.append(len(trace) - 1)
+                _check_average(w, step_d, p, iterations)
+            del step
+        # no p x p or second 2^k array lives into the next factorization
+        del minv
+
+        # w_x d(x) / p, normalized; zero weights stay zero, as d is finite
+        w *= step_d
+        del step_d
         w /= w.sum()
 
-        # Harman-Pronzato deletion; the KW check failed, so eps > 0.
+        # Harman-Pronzato deletion; the KW check failed, so eps > 0.  The
+        # bound speaks of every optimal design, so d of the iterate before
+        # the exchange serves as well as d'.
         eps = kw_max - p
         bound = p * (1.0 + eps / 2.0 - math.sqrt(eps * (4.0 + eps - 4.0 / p)) / 2.0)
         hopeless = (w > 0) & (d < bound)
@@ -191,6 +318,15 @@ def optimize_design(
             w /= w.sum()
             prunes.append(len(trace) - 1)
             last_log_det = None  # support changed; ascent restarts from here
+
+    # the snap then needs no more memory than an iteration
+    del minv, d
+    if converged and np.count_nonzero(w) > m.p:
+        snapped = _snap(w, lam, m, cfg.kw_tolerance)
+        if snapped is not None:
+            top, log_det, kw_max = snapped
+            w[:] = 0.0
+            w[top] = 1.0 / m.p
 
     design = Design(m.k, {int(x): float(w[x]) for x in np.nonzero(w)[0]})
     support_size = len(design.support)
@@ -208,6 +344,16 @@ def optimize_design(
     )
 
 
+def _check_average(w: np.ndarray, d: np.ndarray, p: float, iterations: int) -> None:
+    """Raise unless sum_x w_x d(x) = p, the trace of M^{-1} M."""
+    mean_d = float(w @ d)
+    if abs(mean_d - p) > 1e-9 * p:
+        raise NumericalCheckError(
+            f"sum of w_x d(x) = {mean_d!r} deviates from p = {p} "
+            f"at iteration {iterations}"
+        )
+
+
 def find_transition(
     path: Callable[[float], ParameterVector],
     m: InteractionModel,
@@ -220,20 +366,33 @@ def find_transition(
 
     ``path`` maps a scalar to a parameter vector; the predicate must take
     different values at the two bracket ends, else ``NoBracket`` is raised.
-    Returns the bracket midpoint once its width is below ``tol``.
+    Every optimizer run must converge, else ``NumericalCheckError`` names
+    the parameter value and the budget.  Returns the bracket midpoint once
+    its width is below ``tol``.
     """
+    cfg = cfg or OptimizerConfig()
+
+    def verdict(value: float) -> bool:
+        result = optimize_design(path(value), m, cfg)
+        if not result.converged:
+            raise NumericalCheckError(
+                f"optimizer did not converge at parameter {value!r} within "
+                f"max_iterations={cfg.max_iterations}"
+            )
+        return predicate(result)
+
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"invalid bracket {bracket}")
-    value_lo = predicate(optimize_design(path(lo), m, cfg))
-    value_hi = predicate(optimize_design(path(hi), m, cfg))
+    value_lo = verdict(lo)
+    value_hi = verdict(hi)
     if value_lo == value_hi:
         raise NoBracket(
             f"predicate is {value_lo} at both ends of [{lo}, {hi}]"
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if predicate(optimize_design(path(mid), m, cfg)) == value_lo:
+        if verdict(mid) == value_lo:
             lo = mid
         else:
             hi = mid

@@ -280,7 +280,7 @@ def sensitivities(
             f"information matrix of a design on {len(w.support)} points "
             f"is not positive definite (p={m.p})"
         ) from exc
-    return _sensitivities(low, intensities(theta, m), m)
+    return _sensitivities(low, intensities(theta, m), m)[1]
 
 
 def kw_certificate(

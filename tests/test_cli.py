@@ -337,6 +337,16 @@ class TestCenterPath:
         assert result.exit_code == 0
         assert "exits the polytope at param=0.41" in result.output
 
+    def test_non_finite_lambda_exit_2(self, runner, tmp_path):
+        out = tmp_path / "path.csv"
+        result = runner.invoke(
+            main, ["center-path", "--k", "2", "--d", "1",
+                   "--lambdas", "nan,0.5", "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert "finite" in result.output
+        assert not out.exists()
+
 
 class TestRegionSlice:
     def test_csv_shape(self, runner, tmp_path):
@@ -424,6 +434,19 @@ class TestRegionSlice:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("s_grid,t_grid", [
+        ("nan,0.5", "1"), ("0.5", "inf"), ("0.1:nan:0.1", "1"), ("0.1:inf:0.1", "1"),
+    ])
+    def test_non_finite_grid_exit_2(self, runner, tmp_path, s_grid, t_grid):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(
+            main, ["region-slice", "--k", "4", "--d", "2",
+                   "--s-grid", s_grid, "--t-grid", t_grid, "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert "finite" in result.output
+        assert not out.exists()
+
 
 class TestProbe:
     def test_deterministic_given_seed(self, runner, tmp_path):
@@ -456,6 +479,17 @@ class TestProbe:
                    "--t-range", "0.001:1.0", "--out", str(tmp_path / "p.json")],
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("s_range", ["0.1:inf", "nan:1.0"])
+    def test_non_finite_range_exit_2(self, runner, tmp_path, s_range):
+        out = tmp_path / "p.json"
+        result = runner.invoke(
+            main, ["probe", "--k", "4", "--d", "2", "--s-range", s_range,
+                   "--t-range", "1:2", "--samples", "10", "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert "finite" in result.output
+        assert not out.exists()
 
 
 class TestCompare:

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import raschdesign as rd
-from raschdesign import DesignStructure
+from raschdesign import DesignStructure, optimizer
 
 
 def segment_monotone(trace, prune_iterations, slack=1e-12):
@@ -127,6 +127,135 @@ class TestOptimizeDesign:
         assert result.final_kw_max > m.p
 
 
+class TestVertexExchange:
+    """Exchange steps, the saturated snap and their bookkeeping."""
+
+    ROOT = math.sqrt(2) - 1
+
+    def test_corner_exactly_when_corner_is_certified(self):
+        # near sqrt(2) - 1 the corner design passes the KW test while the
+        # ascent still carries weight on (1,1); the snap closes that gap
+        m = rd.InteractionModel(2, 1)
+        corner = rd.corner_design(m)
+        offsets = [sign * 10 ** (-j / 2) for j in range(4, 15) for sign in (-1, 1)]
+        grid = [self.ROOT + h for h in offsets] + np.linspace(0.3, 0.5, 41).tolist()
+        for lam in grid:
+            theta = rd.ParameterVector.symmetric(m, lam)
+            result = rd.optimize_design(theta, m)
+            assert result.converged
+            certified = rd.kw_certificate(corner, theta, m).optimal
+            assert (result.structure is DesignStructure.CORNER) == certified, lam
+
+    def test_fast_just_above_transition(self):
+        m = rd.InteractionModel(2, 1)
+        result = rd.optimize_design(rd.ParameterVector.symmetric(m, 0.4145), m)
+        assert result.converged
+        assert result.iterations <= 50
+        assert result.structure is DesignStructure.INTERIOR
+
+    def test_transition_iteration_budget(self, monkeypatch):
+        iterations = []
+        inner = optimizer.optimize_design
+
+        def counting(*args, **kwargs):
+            result = inner(*args, **kwargs)
+            iterations.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(optimizer, "optimize_design", counting)
+        m = rd.InteractionModel(2, 1)
+        found = rd.find_transition(
+            lambda lam: rd.ParameterVector.symmetric(m, lam), m,
+            lambda r: r.structure is DesignStructure.CORNER,
+            bracket=(0.3, 0.5), tol=1e-4,
+        )
+        assert found == 0.414208984375
+        assert len(iterations) == 13
+        assert sum(iterations) <= 500
+
+    @pytest.mark.parametrize("lam,snapped", [
+        pytest.param(ROOT - 1e-6, True, id="snapped-corner"),
+        pytest.param(0.3, False, id="corner"),
+        pytest.param(0.4145, False, id="interior"),
+        pytest.param(0.8, False, id="far-interior"),
+    ])
+    def test_reported_values_match_design(self, lam, snapped):
+        m = rd.InteractionModel(2, 1)
+        theta = rd.ParameterVector.symmetric(m, lam)
+        result = rd.optimize_design(theta, m)
+        # a snapped run reports its own design's values, not the trace's last
+        assert (result.log_det != result.log_det_trace[-1]) == snapped
+        sign, log_det = np.linalg.slogdet(rd.fisher_information(result.design, theta, m))
+        assert sign == 1.0
+        assert_allclose(result.log_det, log_det, rtol=1e-9)
+        kw_max = float(np.max(rd.sensitivities(result.design, theta, m)))
+        assert_allclose(result.final_kw_max, kw_max, rtol=1e-9)
+
+    def test_interior_optimum_is_not_snapped(self):
+        # the p heaviest settings of an interior optimum fail the KW test,
+        # so the run keeps its converged iterate
+        m = rd.InteractionModel(6, 2)
+        result = rd.optimize_design(rd.ParameterVector.symmetric(m, 0.5, 0.9), m)
+        assert result.converged
+        assert result.structure is DesignStructure.INTERIOR
+        assert result.support_size > m.p
+        assert result.log_det == result.log_det_trace[-1]
+
+    @pytest.mark.parametrize("k,d,seed", [(3, 1, 0), (4, 2, 1), (5, 3, 2)])
+    def test_rank_two_update_matches_refactorization(self, k, d, seed):
+        m = rd.InteractionModel(k, d)
+        rng = np.random.default_rng(seed)
+        vals = np.zeros(m.p)
+        vals[1:] = rng.uniform(-1.5, 0.5, size=m.p - 1)
+        theta = rd.ParameterVector(m, vals)
+        w = rng.uniform(0.5, 1.5, size=1 << k)
+        w /= w.sum()
+        before = rd.Design(k, dict(enumerate(w)))
+        d = rd.sensitivities(before, theta, m)
+        low = np.linalg.cholesky(rd.fisher_information(before, theta, m))
+        minv = np.linalg.inv(low @ low.T)
+        step = optimizer._exchange(
+            w, d, int(np.argmax(d)), minv, rd.intensities(theta, m),
+            np.asarray(m.masks), -math.inf,
+        )
+        assert step is not None
+        updated, log_phi, _ = step
+        after = rd.Design(k, {x: v for x, v in enumerate(w) if v > 0})
+        assert_allclose(updated, rd.sensitivities(after, theta, m), rtol=1e-9)
+        gain = (np.linalg.slogdet(rd.fisher_information(after, theta, m))[1]
+                - np.linalg.slogdet(rd.fisher_information(before, theta, m))[1])
+        assert_allclose(log_phi, gain, rtol=1e-9)
+
+    def test_emptying_exchange_is_recorded(self, monkeypatch):
+        evaluations, emptied = [], []
+        inner_sensitivities = optimizer._sensitivities
+        inner_exchange = optimizer._exchange
+
+        def counting_sensitivities(*args):
+            evaluations.append(None)
+            return inner_sensitivities(*args)
+
+        def recording_exchange(w, *args):
+            before = w > 0
+            step = inner_exchange(w, *args)
+            if step is not None and step[2]:
+                assert np.count_nonzero(before & (w == 0)) == 1
+                emptied.append(len(evaluations) - 1)
+            return step
+
+        monkeypatch.setattr(optimizer, "_sensitivities", counting_sensitivities)
+        monkeypatch.setattr(optimizer, "_exchange", recording_exchange)
+        m = rd.InteractionModel(3, 1)
+        result = rd.optimize_design(rd.ParameterVector.symmetric(m, 0.4), m)
+        assert result.converged
+        assert emptied
+        assert set(emptied) <= set(result.prune_iterations)
+        assert segment_monotone(result.log_det_trace, result.prune_iterations)
+        # an exchange raises log det, so its entries need no segment break
+        deletions = set(result.prune_iterations) - set(emptied)
+        assert segment_monotone(result.log_det_trace, deletions)
+
+
 class TestOptimizerConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -166,6 +295,18 @@ class TestFindTransition:
             tol=1e-3,
         )
         assert abs(found - (math.sqrt(2) - 1)) <= 5e-3
+
+    def test_unconverged_runs_raise(self):
+        m = rd.InteractionModel(2, 1)
+        with pytest.raises(rd.NumericalCheckError, match=r"parameter 0\.5 .*max_iterations=2"):
+            rd.find_transition(
+                lambda lam: rd.ParameterVector.symmetric(m, lam),
+                m,
+                lambda r: r.structure is DesignStructure.CORNER,
+                bracket=(0.3, 0.5),
+                tol=1e-4,
+                cfg=rd.OptimizerConfig(max_iterations=2),
+            )
 
     def test_no_bracket(self):
         m = rd.InteractionModel(2, 1)
