@@ -175,6 +175,13 @@ def _parse_element(text: str, k: int) -> GroupElement:
         raise click.UsageError(str(exc)) from exc
 
 
+def _require_slice_inequalities(k: int) -> None:
+    if k < 3:
+        raise click.UsageError(
+            f"the d = 2 slice has inequalities only for k >= 3, got --k {k}"
+        )
+
+
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
 @click.version_option(__version__)
 def main() -> None:
@@ -402,18 +409,25 @@ def cmd_region_slice(k, d, s_grid, t_grid, out):
     def work():
         if d != 2:
             raise click.UsageError("region-slice requires an order-2 model (--d 2)")
+        _require_slice_inequalities(k)
         m = InteractionModel(k, d)
-        blocks = _slice_grid(m, _parse_grid(s_grid), _parse_grid(t_grid))
+        s_list, t_list = _parse_grid(s_grid), _parse_grid(t_grid)
+        blocks = _slice_grid(m, s_list, t_list)
+        # each grid value is formatted once, not once per row it appears in
+        s_text = {v: _fmt(v) for v in s_list}
+        t_text = {v: _fmt(v) for v in t_list}
         header = ["s", "t"] + [f"lhs_{c}" for c in range(3, k + 1)] + [
             "binding_c", "verdict",
         ]
-        # s, t and lhs_3..lhs_k; "%.12g" prints the same digits as _fmt
-        line = ",".join(["%.12g"] * k + ["%d", "%s"]) + "\n"
+        # lhs_3..lhs_k; "%.12g" prints the same digits as _fmt
+        line = ",".join(["%s", "%s"] + ["%.12g"] * (k - 2) + ["%d", "%s"]) + "\n"
         with open(out, "w") as fh:
             fh.write(",".join(header) + "\n")
             for ss, tt, values, binding, verdict in blocks:
                 fh.writelines(map(line.__mod__, zip(
-                    ss.tolist(), tt.tolist(), *values.T.tolist(), binding.tolist(),
+                    map(s_text.__getitem__, ss.tolist()),
+                    map(t_text.__getitem__, tt.tolist()),
+                    *values.tolist(), binding.tolist(),
                     map(_VERDICTS.__getitem__, verdict.tolist()),
                 )))
         _write_manifest(
@@ -431,7 +445,7 @@ def cmd_region_slice(k, d, s_grid, t_grid, out):
 @click.option("--t-range", type=str, required=True, help="lo:hi for t samples.")
 @click.option("--samples", type=click.IntRange(min=1), default=100_000,
               show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def probe(k, d, s_range, t_range, samples, seed, out):
     """Redundancy probe: seeded sampling for uniquely violated inequalities."""
@@ -453,6 +467,7 @@ def probe(k, d, s_range, t_range, samples, seed, out):
     def work():
         if d != 2:
             raise click.UsageError("probe requires an order-2 model (--d 2)")
+        _require_slice_inequalities(k)
         m = InteractionModel(k, d)
         report = redundancy_probe(
             m, parse_range(s_range, "s-range"), parse_range(t_range, "t-range"),
@@ -478,8 +493,9 @@ def probe(k, d, s_range, t_range, samples, seed, out):
 @click.option("--k", type=int, default=None)
 @click.option("--d", type=int, default=None)
 @click.option("--params", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--samples", type=int, default=1000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=1000,
+              show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--beta-low", type=float, default=-3.0, show_default=True)
 @click.option("--beta-high", type=float, default=1.0, show_default=True)
 @click.option("--echo", is_flag=True, help="Single-point mode: print both sensitivity systems.")

@@ -34,9 +34,9 @@ LHS_c = s^(c-1) t^(P-1) (C(c-1,2)^2 s t + c (c-2)^2 t + P s), P = C(c,2).
 the reference.  ``_slice_values`` is the one array kernel, with a single
 exp per entry; ``region_slice``, the CLI's region-slice writer and
 ``redundancy_probe`` run it over blocks of ``_BLOCK`` points, so their
-temporaries stay at a few hundred KB whatever the grid or sample count.
-A 10^6-sample probe at k = 12 holds its two sample arrays (16 MB) and
-little else.
+temporaries stay at a few hundred KB whatever the grid or sample count;
+the probe draws its samples block by block as well, so its memory does
+not grow with the sample count.
 
 For d = 1 (with base parameter 0) the inequality system and the
 certificates agree point by point.  For d >= 2 the system's product
@@ -387,16 +387,20 @@ def _slice_coefficients(k: int):
 
     ``LHS_c = s^(c-1) t^(P-1) (lead s t + single t + pair s)`` with
     P = C(c, 2), lead = C(c-1, 2)^2, single = c (c-2)^2 and pair = P.
+    ``cs`` is a vector; the float constants are (k - 2, 1) columns, so
+    they broadcast against a block of points along the second axis.
     """
     cs = np.arange(3, k + 1)
     pairs = cs * (cs - 1) // 2
     table = (
         cs,
-        (cs - 1).astype(float),
-        (pairs - 1).astype(float),
-        np.array([choose(c - 1, 2) ** 2 for c in cs], dtype=float),
-        np.array([c * choose(c - 2, 1) ** 2 for c in cs], dtype=float),
-        pairs.astype(float),
+        *(np.asarray(a, dtype=float)[:, None] for a in (
+            cs - 1,
+            pairs - 1,
+            [choose(c - 1, 2) ** 2 for c in cs],
+            [c * choose(c - 2, 1) ** 2 for c in cs],
+            pairs,
+        )),
     )
     # the cache hands these arrays to every caller
     for a in table:
@@ -404,40 +408,52 @@ def _slice_coefficients(k: int):
     return table
 
 
+def _check_slice_model(m: InteractionModel, what: str) -> None:
+    """The exchangeable slice needs d = 2, and has inequalities only for k >= 3."""
+    if m.d != 2:
+        raise ValueError(f"{what} is defined for d=2 models, got d={m.d}")
+    if m.k < 3:
+        raise ValueError(
+            f"the d = 2 slice has inequalities only for k >= 3, got k={m.k}"
+        )
+
+
 def _slice_values(
     m: InteractionModel, s: np.ndarray, t: np.ndarray
 ) -> np.ndarray:
     """Vectorized symmetric slice: rows = points, columns = c = 3..k.
 
-    One exp per entry: ``s^(c-1) t^(P-1)`` times the bracket of
+    The values are computed c-major, as a C-contiguous (k - 2, n) array,
+    so numpy's inner loops run over the n points; the result is its
+    transpose, a view, and ``.T`` gives the c-major array back.  One exp
+    per entry: ``s^(c-1) t^(P-1)`` times the bracket of
     ``_slice_coefficients``.  Each term is a product of finite factors, so
     an entry is 0 or inf where the exponent under- or overflows, never NaN.
     """
-    if m.d != 2:
-        raise ValueError(f"symmetric slice is defined for d=2 models, got d={m.d}")
+    _check_slice_model(m, "symmetric slice")
     _, s_pow, t_pow, lead, single, pair = _slice_coefficients(m.k)
-    s = np.asarray(s, dtype=float)[:, None]
-    t = np.asarray(t, dtype=float)[:, None]
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore", under="ignore"):
         base = np.exp(np.log(s) * s_pow + np.log(t) * t_pow)
         st = base * s
-        return lead * (st * t) + single * (base * t) + pair * st
+        return (lead * (st * t) + single * (base * t) + pair * st).T
 
 
 def _slice_verdicts(
     values: np.ndarray, k: int, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``binding_c`` and verdict code of every row of ``_slice_values``.
+    """``binding_c`` and verdict code of every column of c-major slice values.
 
-    The rule of ``SliceRow``: outside the region the smallest violated c,
-    otherwise the argmax; the verdict is "boundary" when the maximum is at
-    least 1 - tol.
+    ``values`` is ``_slice_values(...).T``, one column per point.  The rule
+    of ``SliceRow``: outside the region the smallest violated c, otherwise
+    the argmax; the verdict is "boundary" when the maximum is at least
+    1 - tol.
     """
     violated = values > 1.0 + tol
-    outside = violated.any(axis=1)
-    top = values.argmax(axis=1)
-    column = np.where(outside, violated.argmax(axis=1), top)
-    near = values[np.arange(len(values)), top] >= 1.0 - tol
+    outside = violated.any(axis=0)
+    column = np.where(outside, violated.argmax(axis=0), values.argmax(axis=0))
+    near = values.max(axis=0) >= 1.0 - tol
     return _slice_coefficients(k)[0][column], np.where(outside, 2, near)
 
 
@@ -451,7 +467,8 @@ def _slice_grid(
 
     The checks run at once; the returned iterator yields, for ``_BLOCK``
     consecutive points in s-major order, the arrays
-    ``(s, t, values, binding_c, verdict code)``.
+    ``(s, t, values, binding_c, verdict code)``, with ``values`` c-major:
+    row j holds LHS_{j+3} of every point in the block.
     """
     s_values = np.asarray(list(s_values), dtype=float)
     t_values = np.asarray(list(t_values), dtype=float)
@@ -459,15 +476,14 @@ def _slice_grid(
         raise ValueError("empty grid")
     if np.any(s_values <= 0) or np.any(t_values <= 0):
         raise ValueError("grid values must be positive")
-    if m.d != 2:
-        raise ValueError(f"symmetric slice is defined for d=2 models, got d={m.d}")
+    _check_slice_model(m, "symmetric slice")
     n_points = s_values.size * t_values.size
 
     def blocks():
         for start in range(0, n_points, _BLOCK):
             index = np.arange(start, min(start + _BLOCK, n_points))
             ss, tt = s_values[index // t_values.size], t_values[index % t_values.size]
-            values = _slice_values(m, ss, tt)
+            values = _slice_values(m, ss, tt).T
             yield (ss, tt, values, *_slice_verdicts(values, m.k, tol))
 
     return blocks()
@@ -502,7 +518,7 @@ def region_slice(
     rows: list[SliceRow] = []
     for ss, tt, values, binding, verdict in _slice_grid(m, s_values, t_values, tol):
         rows.extend(map(
-            SliceRow, ss.tolist(), tt.tolist(), map(tuple, values.tolist()),
+            SliceRow, ss.tolist(), tt.tolist(), zip(*values.tolist()),
             binding.tolist(), map(_VERDICTS.__getitem__, verdict.tolist()),
         ))
     return rows
@@ -559,33 +575,46 @@ def redundancy_probe(
 
     Deterministic given the seed.  Absence of a witness is sampling
     evidence of redundancy on the region, not a proof.
+
+    The samples come from one PCG64 stream, ``np.random.default_rng(seed)``,
+    at one 64-bit draw per sample: s takes draws 0..n-1 and t takes draws
+    n..2n-1, so sample i is the i-th entry of ``rng.uniform(*s_range, n)``
+    and of the ``rng.uniform(*t_range, n)`` drawn after it.  The probe
+    keeps this layout.  Two generators of the seed, the second advanced by
+    n draws, deal the samples out ``_BLOCK`` at a time, so no array grows
+    with the sample count; a witness is the first sample, in that order,
+    that violates c alone.
     """
-    if m.d != 2:
-        raise ValueError(f"redundancy probe is defined for d=2 models, got d={m.d}")
+    _check_slice_model(m, "redundancy probe")
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if not (0 < s_range[0] < s_range[1]) or not (0 < t_range[0] < t_range[1]):
         raise ValueError("sampling ranges must satisfy 0 < low < high")
-    rng = np.random.default_rng(seed)
-    ss = rng.uniform(s_range[0], s_range[1], size=n_samples)
-    tt = rng.uniform(t_range[0], t_range[1], size=n_samples)
+    s_rng = np.random.default_rng(seed)
+    t_rng = np.random.default_rng(seed)
+    t_rng.bit_generator.advance(n_samples)
     cs = _slice_coefficients(m.k)[0]
     n_violated = np.zeros(cs.size, dtype=np.intp)
     n_witness = np.zeros(cs.size, dtype=np.intp)
-    first = np.full(cs.size, -1, dtype=np.intp)
+    witnesses: list[tuple[float, float] | None] = [None] * cs.size
     for start in range(0, n_samples, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        violated = _slice_values(m, ss[block], tt[block]) > 1.0 + tol
-        unique = violated & (violated.sum(axis=1) == 1)[:, None]
-        n_violated += violated.sum(axis=0)
-        n_witness += unique.sum(axis=0)
-        found = (first < 0) & unique.any(axis=0)
-        first[found] = start + unique.argmax(axis=0)[found]
-    entries = {}
-    for c, i, n_v, n_w in zip(cs.tolist(), first.tolist(), n_violated.tolist(),
-                              n_witness.tolist()):
-        witness = (float(ss[i]), float(tt[i])) if i >= 0 else None
-        entries[c] = ProbeEntry(c=c, witness=witness, n_violated=n_v, n_witness=n_w)
+        size = min(_BLOCK, n_samples - start)
+        ss = s_rng.uniform(s_range[0], s_range[1], size=size)
+        tt = t_rng.uniform(t_range[0], t_range[1], size=size)
+        violated = _slice_values(m, ss, tt).T > 1.0 + tol
+        unique = violated & (np.count_nonzero(violated, axis=0) == 1)
+        found = np.count_nonzero(unique, axis=1)
+        n_violated += np.count_nonzero(violated, axis=1)
+        n_witness += found
+        for j in np.flatnonzero(found).tolist():
+            if witnesses[j] is None:
+                i = int(unique[j].argmax())
+                witnesses[j] = (float(ss[i]), float(tt[i]))
+    entries = {
+        c: ProbeEntry(c=c, witness=witness, n_violated=n_v, n_witness=n_w)
+        for c, witness, n_v, n_w in zip(cs.tolist(), witnesses, n_violated.tolist(),
+                                        n_witness.tolist())
+    }
     return ProbeReport(
         s_range=tuple(s_range),
         t_range=tuple(t_range),

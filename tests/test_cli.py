@@ -83,6 +83,26 @@ def test_invalid_flag_values_exit_2(runner, tmp_path, argv):
     assert result.exit_code == 2
 
 
+PROBE_ARGV = ["probe", "--k", "5", "--d", "2", "--s-range", "0.001:1.0",
+              "--t-range", "0.001:1.0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--k", "3", "--d", "1", "--samples", "-3"],
+    ["compare", "--k", "3", "--d", "1", "--samples", "0"],
+    ["compare", "--k", "3", "--d", "1", "--seed", "-1"],
+    PROBE_ARGV + ["--samples", "-3"],
+    PROBE_ARGV + ["--seed", "-1"],
+], ids=["compare-negative-samples", "compare-zero-samples", "compare-seed",
+        "probe-negative-samples", "probe-seed"])
+def test_sample_and_seed_bounds_exit_2(runner, tmp_path, argv):
+    out = tmp_path / "out.json"
+    result = runner.invoke(main, argv + ["--out", str(out)])
+    assert result.exit_code == 2
+    assert "agreement" not in result.output
+    assert not out.exists()
+
+
 class TestInequalities:
     def test_symmetric_witness_point(self, runner):
         result = runner.invoke(
@@ -448,6 +468,16 @@ class TestRegionSlice:
         assert not out.exists()
 
 
+    def test_k_below_three_exit_2(self, runner, tmp_path):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(
+            main, ["region-slice", "--k", "2", "--d", "2",
+                   "--s-grid", "0.5", "--t-grid", "0.5", "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert "k >= 3" in result.output
+        assert not out.exists()
+
 class TestProbe:
     def test_deterministic_given_seed(self, runner, tmp_path):
         args = ["probe", "--k", "6", "--d", "2", "--s-range", "0.001:1.0",
@@ -491,6 +521,16 @@ class TestProbe:
         assert "finite" in result.output
         assert not out.exists()
 
+
+    def test_k_below_three_exit_2(self, runner, tmp_path):
+        out = tmp_path / "p.json"
+        result = runner.invoke(
+            main, ["probe", "--k", "2", "--d", "2", "--s-range", "0.1:1",
+                   "--t-range", "0.1:1", "--samples", "10", "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert "k >= 3" in result.output
+        assert not out.exists()
 
 class TestCompare:
     def test_full_agreement_at_order_one(self, runner, tmp_path):

@@ -682,3 +682,91 @@ class TestBlockedSliceKernel:
         assert not np.isnan(values).any()
         reference = np.array([slice_reference(m, s, t) for s, t in zip(ss, tt)])
         assert (np.isinf(values) == np.isinf(reference)).all()
+
+
+def row_major_slice(k, s, t):
+    """The slice kernel written points x c, with the scalar operations of
+    ``_slice_values`` in the same order."""
+    cs = np.arange(3, k + 1)
+    pairs = cs * (cs - 1) // 2
+    lead = np.array([math.comb(c - 1, 2) ** 2 for c in cs], dtype=float)
+    single = np.array([c * (c - 2) ** 2 for c in cs], dtype=float)
+    s = np.asarray(s, dtype=float)[:, None]
+    t = np.asarray(t, dtype=float)[:, None]
+    with np.errstate(over="ignore", under="ignore"):
+        base = np.exp(np.log(s) * (cs - 1.0) + np.log(t) * (pairs - 1.0))
+        st = base * s
+        return lead * (st * t) + single * (base * t) + pairs * st
+
+
+def single_shot_probe(m, s_range, t_range, n, seed, tol=regions.THEOREM_TOL):
+    """The probe over whole sample arrays: s from one uniform call, t from
+    the next call on the same generator."""
+    rng = np.random.default_rng(seed)
+    ss = rng.uniform(*s_range, size=n)
+    tt = rng.uniform(*t_range, size=n)
+    violated = row_major_slice(m.k, ss, tt) > 1.0 + tol
+    unique = violated & (violated.sum(axis=1) == 1)[:, None]
+    report = {}
+    for j, c in enumerate(range(3, m.k + 1)):
+        idx = np.flatnonzero(unique[:, j])
+        report[str(c)] = {
+            "redundant_in_region": idx.size == 0,
+            "witness": [float(ss[idx[0]]), float(tt[idx[0]])] if idx.size else None,
+            "n_violated": int(violated[:, j].sum()),
+            "n_witness": int(idx.size),
+        }
+    return report
+
+
+class TestStreamedProbe:
+    RANGES = [((1e-6, 1.0), (1.0, 1.3)), ((0.01, 1.0), (0.01, 1.5))]
+
+    @pytest.mark.parametrize("n", [1, 5, regions._BLOCK, 2 * regions._BLOCK + 17])
+    @pytest.mark.parametrize("k", [3, 12, 20])
+    @pytest.mark.parametrize("seed", [0, 3, 20260810])
+    @pytest.mark.parametrize("ranges", RANGES)
+    def test_equals_single_shot_reference(self, n, k, seed, ranges):
+        m = rd.InteractionModel(k, 2)
+        report = rd.redundancy_probe(m, *ranges, n, seed)
+        expected = single_shot_probe(m, *ranges, n, seed)
+        assert report.as_dict() == expected
+        assert (report.n_samples, report.seed) == (n, seed)
+        if n >= regions._BLOCK:
+            assert any(e.witness for e in report.entries.values())
+
+    @pytest.mark.parametrize("n", [1_000_000, 4_000_000])
+    def test_memory_is_constant_in_samples(self, n):
+        m = rd.InteractionModel(12, 2)
+        tracemalloc.start()
+        try:
+            rd.redundancy_probe(m, (1e-9, 1.0), (1.0, 1.3), n, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # whole sample arrays took 16 MB at 10^6 samples and 64 MB at 4 * 10^6
+        assert peak < 2e6
+
+    def test_needs_an_inequality(self):
+        with pytest.raises(ValueError, match="k >= 3"):
+            rd.redundancy_probe(rd.InteractionModel(2, 2), (0.1, 1.0), (0.1, 1.0), 10, 0)
+        with pytest.raises(ValueError, match="k >= 3"):
+            rd.region_slice(rd.InteractionModel(2, 2), [0.5], [0.5])
+
+
+class TestCMajorSliceKernel:
+    EXTREME = np.r_[10.0 ** np.linspace(-300, 300, 61), 1e306, 1e307, 1e308]
+
+    @pytest.mark.parametrize("axes", [
+        (TestBlockedSliceKernel.S_EDGE, TestBlockedSliceKernel.T_EDGE),
+        (EXTREME, EXTREME),
+        (np.linspace(0.05, 0.45, 37), np.linspace(0.6, 1.3, 61)),
+    ])
+    def test_bitwise_equal_to_row_major(self, axes):
+        m = rd.InteractionModel(12, 2)
+        ss, tt = (a.ravel() for a in np.meshgrid(*axes))
+        values = regions._slice_values(m, ss, tt)
+        assert values.shape == (ss.size, m.k - 2)
+        # points x c is a view of the c-major array the kernel computed
+        assert values.T.flags.c_contiguous
+        assert np.array_equal(values, row_major_slice(m.k, ss, tt))
