@@ -1,17 +1,21 @@
 """Command-line front end.
 
 Every analysis is exposed as a subcommand with file-based inputs and
-outputs.  Commands that write files also emit a run manifest
-(``<output>.manifest.json``) recording command, inputs, flags, seed, and
-tool version, so identical manifests reproduce identical outputs.
+outputs.  A command that writes files also writes ``<first
+output>.manifest.json``, derived from its options: the given existing-file
+options are its ``inputs``, the other given path options its ``outputs``
+(in declaration order), ``--seed`` its ``seed``, and every other option
+one of its ``flags``.  Identical manifests reproduce identical outputs.
 
 Exit codes: 0 success, 1 computational failure (singularity,
-non-convergence), 2 usage error.  All numeric output is printed with 12
-significant digits.
+non-convergence), 2 usage error, which includes a malformed input file, a
+non-finite number and a --k/--d outside the model's range.  All numeric
+output is printed with 12 significant digits.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -60,19 +64,63 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def _write_manifest(command: str, inputs, flags: dict, seed, outputs) -> None:
+def _write_manifest() -> None:
+    """Write the running command's manifest next to its first output."""
+    ctx = click.get_current_context()
+    inputs, outputs, flags = [], [], {}
+    for param in ctx.command.params:
+        value = ctx.params[param.name]
+        if isinstance(param.type, click.Path):
+            if value is not None:
+                (inputs if param.type.exists else outputs).append(str(value))
+        elif param.name != "seed":
+            flags[param.name] = value
     if not outputs:
         return
     manifest = {
-        "command": command,
-        "inputs": [str(p) for p in inputs],
-        "flags": {key: flags[key] for key in sorted(flags)},
-        "seed": seed,
+        "command": ctx.command.name,
+        "inputs": inputs,
+        "flags": dict(sorted(flags.items())),
+        "seed": ctx.params.get("seed"),
         "version": __version__,
-        "outputs": [str(p) for p in outputs],
+        "outputs": outputs,
     }
-    path = Path(str(outputs[0]) + ".manifest.json")
-    path.write_text(_json(manifest))
+    Path(outputs[0] + ".manifest.json").write_text(_json(manifest))
+
+
+def _float(text, where: str) -> float:
+    """Parse one number of the command line; only finite numbers pass."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise click.UsageError(f"bad number {text!r} in {where}") from None
+    if not math.isfinite(value):
+        raise click.UsageError(f"{where} needs finite numbers, got {text!r}")
+    return value
+
+
+def _finite_option(ctx, param, value) -> float:
+    return _float(value, param.opts[0])
+
+
+def _model(k: int, d: int) -> InteractionModel:
+    """The model of --k/--d; a size it rejects is a usage error."""
+    try:
+        return InteractionModel(k, d)
+    except ValueError as exc:  # ModelSizeError is a ValueError too
+        raise click.UsageError(str(exc)) from exc
+
+
+def _slice_model(k: int, d: int) -> InteractionModel:
+    """The order-2 model of an exchangeable (s, t) slice, which needs k >= 3."""
+    if d != 2:
+        command = click.get_current_context().command.name
+        raise click.UsageError(f"{command} requires an order-2 model (--d 2)")
+    if k < 3:
+        raise click.UsageError(
+            f"the d = 2 slice has inequalities only for k >= 3, got --k {k}"
+        )
+    return _model(k, d)
 
 
 def _parse_symmetric(text: str) -> dict[str, float]:
@@ -84,10 +132,7 @@ def _parse_symmetric(text: str) -> dict[str, float]:
         key = key.strip()
         if key not in ("s", "t"):
             raise click.UsageError(f"symmetric point keys are s and t, got {key!r}")
-        try:
-            values[key] = float(raw)
-        except ValueError:
-            raise click.UsageError(f"bad number {raw!r} in symmetric point") from None
+        values[key] = _float(raw, "symmetric point")
     if "s" not in values:
         raise click.UsageError("symmetric point needs at least s=<value>")
     return values
@@ -107,10 +152,12 @@ def _resolve_theta(k, d, params, beta, symmetric) -> ParameterVector:
         return theta
     if k is None or d is None:
         raise click.UsageError("--k and --d are required without --params")
-    m = InteractionModel(k, d)
+    m = _model(k, d)
     if beta is not None:
+        number = functools.partial(_float, where="--beta")
         try:
-            mapping = json.loads(beta)
+            mapping = json.loads(beta, parse_float=number, parse_int=number,
+                                 parse_constant=number)
         except json.JSONDecodeError as exc:
             raise click.UsageError(f"--beta is not valid JSON: {exc}") from exc
         if not isinstance(mapping, dict):
@@ -122,32 +169,47 @@ def _resolve_theta(k, d, params, beta, symmetric) -> ParameterVector:
     return ParameterVector.zeros(m)
 
 
+_K = click.option("--k", type=int, default=None, help="Number of rules.")
+_D = click.option("--d", type=int, default=None, help="Interaction order.")
+_PARAMS = click.option("--params", type=click.Path(exists=True, dir_okay=False),
+                       default=None, help="Parameter JSON file.")
+_POINT = (
+    _K, _D, _PARAMS,
+    click.option("--beta", type=str, default=None, help="Inline JSON beta map."),
+    click.option("--symmetric", type=str, default=None,
+                 help="Symmetric point s=..,t=.."),
+)
+
+
+def _point_options(func):
+    """Declare the parameter-point options; the command receives ``theta``."""
+
+    @functools.wraps(func)
+    def command(k, d, params, beta, symmetric, **kwargs):
+        return func(_resolve_theta(k, d, params, beta, symmetric), **kwargs)
+
+    for option in reversed(_POINT):
+        command = option(command)
+    return command
+
+
 def _parse_grid(text: str) -> list[float]:
     """Comma list ("1,0.8,0.5") or range ("0.40:0.43:0.001") of finite numbers."""
+    where = f"grid {text!r}"
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise click.UsageError(f"grid {text!r} must be start:stop:step")
-        try:
-            start, stop, step = (float(p) for p in parts)
-        except ValueError:
-            raise click.UsageError(f"bad number in grid {text!r}") from None
-        if not all(map(math.isfinite, (start, stop, step))):
-            raise click.UsageError(f"grid {text!r} must hold finite numbers")
+        start, stop, step = (_float(p, where) for p in parts)
         if step <= 0:
             raise click.UsageError("grid step must be positive")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         if count < 1:
             raise click.UsageError(f"grid {text!r} is empty")
         return [start + i * step for i in range(count)]
-    try:
-        values = [float(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        raise click.UsageError(f"bad number in grid {text!r}") from None
+    values = [_float(p, where) for p in text.split(",") if p.strip()]
     if not values:
         raise click.UsageError(f"grid {text!r} is empty")
-    if not all(map(math.isfinite, values)):
-        raise click.UsageError(f"grid {text!r} must hold finite numbers")
     return values
 
 
@@ -175,89 +237,64 @@ def _parse_element(text: str, k: int) -> GroupElement:
         raise click.UsageError(str(exc)) from exc
 
 
-def _require_slice_inequalities(k: int) -> None:
-    if k < 3:
-        raise click.UsageError(
-            f"the d = 2 slice has inequalities only for k >= 3, got --k {k}"
-        )
+class _Command(click.Command):
+    """A subcommand whose domain errors exit 2 (bad input) or 1 (numeric failure)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except InputFormatError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+        except (RaschDesignError, ValueError) as exc:
+            raise click.ClickException(str(exc)) from exc
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+class _Group(click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group, context_settings={"help_option_names": ["-h", "--help"]})
 @click.version_option(__version__)
 def main() -> None:
     """D-optimal design toolkit for the Rasch Poisson counts model."""
 
 
-def _run(func):
-    """Translate domain errors: usage problems exit 2, numeric failures exit 1."""
-    try:
-        func()
-    except click.ClickException:
-        raise
-    except InputFormatError as exc:
-        raise click.UsageError(str(exc)) from exc
-    except (RaschDesignError, ValueError) as exc:
-        raise click.ClickException(str(exc)) from exc
-
-
 @main.command()
-@click.option("--k", type=int, default=None, help="Number of rules.")
-@click.option("--d", type=int, default=None, help="Interaction order.")
-@click.option("--params", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--beta", type=str, default=None, help="Inline JSON beta map.")
-@click.option("--symmetric", type=str, default=None, help="Symmetric point s=..,t=..")
+@_point_options
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the listing as JSON instead of text only.")
-def inequalities(k, d, params, beta, symmetric, out):
+def inequalities(theta, out):
     """List the corner-optimality inequalities with their values."""
-
-    def work():
-        theta = _resolve_theta(k, d, params, beta, symmetric)
-        m = theta.model
-        labels, values = corner_lhs(theta, m)
-        verdict = _theorem_verdict(labels, values, m.k)
-        records = []
-        lines = []
-        for label, lhs in zip(labels, values.tolist()):
-            satisfied = lhs <= 1.0 + THEOREM_TOL
-            records.append({"C": list(label), "lhs": lhs, "satisfied": satisfied})
-            mark = "ok " if satisfied else "VIOLATED"
-            lines.append(f"C={_set(label)}  lhs={_fmt(lhs)}  {mark}")
-        state = "optimal" if verdict.optimal else "not-optimal"
-        if verdict.boundary:
-            state += " (boundary)"
-        lines.append(
-            f"verdict: {state}"
-            f"  max-lhs={_fmt(verdict.max_directional_value)}"
-        )
-        click.echo("\n".join(lines))
-        if out:
-            payload = {
-                "k": m.k,
-                "d": m.d,
-                "inequalities": records,
-                "optimal": verdict.optimal,
-                # an empty system (d == k) has no maximum
-                "max_lhs": verdict.max_directional_value if labels else None,
-            }
-            Path(out).write_text(_json(payload))
-            _write_manifest(
-                "inequalities",
-                [p for p in (params,) if p],
-                {"k": k, "d": d, "beta": beta, "symmetric": symmetric},
-                None,
-                [out],
-            )
-
-    _run(work)
+    m = theta.model
+    labels, values = corner_lhs(theta, m)
+    verdict = _theorem_verdict(labels, values, m.k)
+    records = []
+    lines = []
+    for label, lhs in zip(labels, values.tolist()):
+        satisfied = lhs <= 1.0 + THEOREM_TOL
+        records.append({"C": list(label), "lhs": lhs, "satisfied": satisfied})
+        mark = "ok " if satisfied else "VIOLATED"
+        lines.append(f"C={_set(label)}  lhs={_fmt(lhs)}  {mark}")
+    state = "optimal" if verdict.optimal else "not-optimal"
+    if verdict.boundary:
+        state += " (boundary)"
+    lines.append(f"verdict: {state}  max-lhs={_fmt(verdict.max_directional_value)}")
+    click.echo("\n".join(lines))
+    if out:
+        payload = {
+            "k": m.k,
+            "d": m.d,
+            "inequalities": records,
+            "optimal": verdict.optimal,
+            # an empty system (d == k) has no maximum
+            "max_lhs": verdict.max_directional_value if labels else None,
+        }
+        Path(out).write_text(_json(payload))
+        _write_manifest()
 
 
 @main.command()
-@click.option("--k", type=int, default=None)
-@click.option("--d", type=int, default=None)
-@click.option("--params", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--beta", type=str, default=None)
-@click.option("--symmetric", type=str, default=None)
+@_point_options
 @click.option("--max-iterations", type=click.IntRange(min=1), default=200_000,
               show_default=True)
 @click.option("--kw-tolerance", type=click.FloatRange(min=0, min_open=True),
@@ -266,73 +303,41 @@ def inequalities(k, d, params, beta, symmetric, out):
               help="Design JSON output path.")
 @click.option("--report", type=click.Path(dir_okay=False), default=None,
               help="Run-report JSON output path.")
-def optimize(k, d, params, beta, symmetric, max_iterations, kw_tolerance,
-             out, report):
+def optimize(theta, max_iterations, kw_tolerance, out, report):
     """Compute a D-optimal approximate design for the given parameters."""
-
-    def work():
-        theta = _resolve_theta(k, d, params, beta, symmetric)
-        cfg = OptimizerConfig(
-            max_iterations=max_iterations, kw_tolerance=kw_tolerance
-        )
-        result = optimize_design(theta, theta.model, cfg)
-        save_design(result.design, out)
-        payload = {
-            "iterations": result.iterations,
-            "final_kw_max": result.final_kw_max,
-            "log_det": result.log_det,
-            "structure": result.structure.value,
-            "converged": result.converged,
-            "support_size": result.support_size,
-        }
-        outputs = [out]
-        if report:
-            Path(report).write_text(_json(payload))
-            outputs.append(report)
-        click.echo(
-            f"structure={result.structure.value}  iterations={result.iterations}"
-            f"  kw-max={_fmt(result.final_kw_max)}  log-det={_fmt(result.log_det)}"
-        )
-        if not result.converged:
-            raise click.ClickException("optimizer did not converge within the budget")
-        _write_manifest(
-            "optimize",
-            [p for p in (params,) if p],
-            {
-                "k": k, "d": d, "beta": beta, "symmetric": symmetric,
-                "max_iterations": max_iterations, "kw_tolerance": kw_tolerance,
-            },
-            None,
-            outputs,
-        )
-
-    _run(work)
+    cfg = OptimizerConfig(max_iterations=max_iterations, kw_tolerance=kw_tolerance)
+    result = optimize_design(theta, theta.model, cfg)
+    save_design(result.design, out)
+    if report:
+        Path(report).write_text(_json({
+            "iterations": result.iterations, "final_kw_max": result.final_kw_max,
+            "log_det": result.log_det, "structure": result.structure.value,
+            "converged": result.converged, "support_size": result.support_size,
+        }))
+    click.echo(
+        f"structure={result.structure.value}  iterations={result.iterations}"
+        f"  kw-max={_fmt(result.final_kw_max)}  log-det={_fmt(result.log_det)}"
+    )
+    if not result.converged:
+        raise click.ClickException("optimizer did not converge within the budget")
+    _write_manifest()
 
 
 @main.command()
-@click.option("--k", type=int, default=None)
-@click.option("--d", type=int, default=None)
-@click.option("--params", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--beta", type=str, default=None)
-@click.option("--symmetric", type=str, default=None)
+@_point_options
 @click.option("--design", "design_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Design to certify (default: corner design).")
-def certify(k, d, params, beta, symmetric, design_path):
+def certify(theta, design_path):
     """Equivalence-theorem certificate for a design at given parameters."""
-
-    def work():
-        theta = _resolve_theta(k, d, params, beta, symmetric)
-        m = theta.model
-        w = load_design(design_path, m.k) if design_path else corner_design(m)
-        verdict = kw_certificate(w, theta, m)
-        click.echo(
-            f"verdict: {'optimal' if verdict.optimal else 'not-optimal'}"
-            f"  max-sensitivity={_fmt(verdict.max_directional_value)}"
-            f"  bound={_fmt(verdict.bound)}"
-            f"  worst-setting={''.join(map(str, verdict.worst_setting))}"
-        )
-
-    _run(work)
+    m = theta.model
+    w = load_design(design_path, m.k) if design_path else corner_design(m)
+    verdict = kw_certificate(w, theta, m)
+    click.echo(
+        f"verdict: {'optimal' if verdict.optimal else 'not-optimal'}"
+        f"  max-sensitivity={_fmt(verdict.max_directional_value)}"
+        f"  bound={_fmt(verdict.bound)}"
+        f"  worst-setting={''.join(map(str, verdict.worst_setting))}"
+    )
 
 
 @main.command("center-path")
@@ -349,52 +354,41 @@ def cmd_center_path(k, d, lambdas, out, matrices_out):
     def rows_of(mat):
         return [[float(v) for v in row] for row in mat]
 
-    def work():
-        grid = _parse_grid(lambdas)
-        if any(v <= 0 for v in grid):
-            raise click.UsageError("lambda values must be positive")
-        m = InteractionModel(k, d)
-        pairs = [
-            (lam, ParameterVector.symmetric(m, lam)) for lam in grid
+    grid = _parse_grid(lambdas)
+    if any(v <= 0 for v in grid):
+        raise click.UsageError("lambda values must be positive")
+    m = _model(k, d)
+    path = center_path([(lam, ParameterVector.symmetric(m, lam)) for lam in grid], m)
+    # the chart dimension can change along the path; shorter rows are padded
+    dim = max(len(row.result.coordinates) for row in path.rows)
+    header = ["param", *(f"coord_{i + 1}" for i in range(dim)), "log_det", "status",
+              "inside"]
+    lines = [",".join(header)]
+    for row in path.rows:
+        res = row.result
+        inside = "" if res.inside_polytope is None else str(res.inside_polytope).lower()
+        coords = [_fmt(v) for v in res.coordinates]
+        lines.append(",".join(
+            [_fmt(row.param)]
+            + coords + [""] * (dim - len(coords))
+            + [_fmt(res.log_det), res.status.value, inside]
+        ))
+    Path(out).write_text("\n".join(lines) + "\n")
+    if matrices_out:
+        dump = [
+            {
+                "param": row.param,
+                "labels": list(row.lmi.labels),
+                "base": rows_of(row.lmi.base),
+                "directions": [rows_of(dmat) for dmat in row.lmi.directions],
+                "center": rows_of(row.result.matrix),
+            }
+            for row in path.rows
         ]
-        path = center_path(pairs, m)
-        # the chart dimension can change along the path; shorter rows are padded
-        dim = max(len(row.result.coordinates) for row in path.rows)
-        header = ["param"] + [f"coord_{i + 1}" for i in range(dim)] + [
-            "log_det", "status", "inside",
-        ]
-        lines = [",".join(header)]
-        for row in path.rows:
-            res = row.result
-            inside = "" if res.inside_polytope is None else str(res.inside_polytope).lower()
-            coords = [_fmt(v) for v in res.coordinates]
-            lines.append(",".join(
-                [_fmt(row.param)]
-                + coords + [""] * (dim - len(coords))
-                + [_fmt(res.log_det), res.status.value, inside]
-            ))
-        Path(out).write_text("\n".join(lines) + "\n")
-        outputs = [out]
-        if matrices_out:
-            dump = [
-                {
-                    "param": row.param,
-                    "labels": list(row.lmi.labels),
-                    "base": rows_of(row.lmi.base),
-                    "directions": [rows_of(dmat) for dmat in row.lmi.directions],
-                    "center": rows_of(row.result.matrix),
-                }
-                for row in path.rows
-            ]
-            Path(matrices_out).write_text(_json(dump))
-            outputs.append(matrices_out)
-        if path.first_exit is not None:
-            click.echo(f"center exits the polytope at param={_fmt(path.first_exit)}")
-        _write_manifest(
-            "center-path", [], {"k": k, "d": d, "lambdas": lambdas}, None, outputs
-        )
-
-    _run(work)
+        Path(matrices_out).write_text(_json(dump))
+    if path.first_exit is not None:
+        click.echo(f"center exits the polytope at param={_fmt(path.first_exit)}")
+    _write_manifest()
 
 
 @main.command("region-slice")
@@ -405,37 +399,25 @@ def cmd_center_path(k, d, lambdas, out, matrices_out):
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def cmd_region_slice(k, d, s_grid, t_grid, out):
     """CSV of symmetric-slice inequality values over an (s, t) grid."""
-
-    def work():
-        if d != 2:
-            raise click.UsageError("region-slice requires an order-2 model (--d 2)")
-        _require_slice_inequalities(k)
-        m = InteractionModel(k, d)
-        s_list, t_list = _parse_grid(s_grid), _parse_grid(t_grid)
-        blocks = _slice_grid(m, s_list, t_list)
-        # each grid value is formatted once, not once per row it appears in
-        s_text = {v: _fmt(v) for v in s_list}
-        t_text = {v: _fmt(v) for v in t_list}
-        header = ["s", "t"] + [f"lhs_{c}" for c in range(3, k + 1)] + [
-            "binding_c", "verdict",
-        ]
-        # lhs_3..lhs_k; "%.12g" prints the same digits as _fmt
-        line = ",".join(["%s", "%s"] + ["%.12g"] * (k - 2) + ["%d", "%s"]) + "\n"
-        with open(out, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for ss, tt, values, binding, verdict in blocks:
-                fh.writelines(map(line.__mod__, zip(
-                    map(s_text.__getitem__, ss.tolist()),
-                    map(t_text.__getitem__, tt.tolist()),
-                    *values.tolist(), binding.tolist(),
-                    map(_VERDICTS.__getitem__, verdict.tolist()),
-                )))
-        _write_manifest(
-            "region-slice", [],
-            {"k": k, "d": d, "s_grid": s_grid, "t_grid": t_grid}, None, [out],
-        )
-
-    _run(work)
+    m = _slice_model(k, d)
+    s_list, t_list = _parse_grid(s_grid), _parse_grid(t_grid)
+    blocks = _slice_grid(m, s_list, t_list)
+    # each grid value is formatted once, not once per row it appears in
+    s_text = {v: _fmt(v) for v in s_list}
+    t_text = {v: _fmt(v) for v in t_list}
+    header = ["s", "t", *(f"lhs_{c}" for c in range(3, k + 1)), "binding_c", "verdict"]
+    # lhs_3..lhs_k; "%.12g" prints the same digits as _fmt
+    line = ",".join(["%s", "%s"] + ["%.12g"] * (k - 2) + ["%d", "%s"]) + "\n"
+    with open(out, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for ss, tt, values, binding, verdict in blocks:
+            fh.writelines(map(line.__mod__, zip(
+                map(s_text.__getitem__, ss.tolist()),
+                map(t_text.__getitem__, tt.tolist()),
+                *values.tolist(), binding.tolist(),
+                map(_VERDICTS.__getitem__, verdict.tolist()),
+            )))
+    _write_manifest()
 
 
 @main.command()
@@ -454,50 +436,37 @@ def probe(k, d, s_range, t_range, samples, seed, out):
         parts = text.split(":")
         if len(parts) != 2:
             raise click.UsageError(f"--{name} must be lo:hi")
-        try:
-            lo, hi = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise click.UsageError(f"bad number in --{name} {text!r}") from None
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise click.UsageError(f"--{name} needs finite lo and hi")
+        lo, hi = (_float(p, f"--{name} {text!r}") for p in parts)
         if not 0 < lo < hi:
             raise click.UsageError(f"--{name} needs 0 < lo < hi")
         return lo, hi
 
-    def work():
-        if d != 2:
-            raise click.UsageError("probe requires an order-2 model (--d 2)")
-        _require_slice_inequalities(k)
-        m = InteractionModel(k, d)
-        report = redundancy_probe(
-            m, parse_range(s_range, "s-range"), parse_range(t_range, "t-range"),
-            samples, seed,
+    m = _slice_model(k, d)
+    report = redundancy_probe(
+        m, parse_range(s_range, "s-range"), parse_range(t_range, "t-range"),
+        samples, seed,
+    )
+    Path(out).write_text(_json(report.as_dict()))
+    for c, entry in report.entries.items():
+        state = (
+            "no witness" if entry.redundant_in_region
+            else f"witness at ({_fmt(entry.witness[0])}, {_fmt(entry.witness[1])})"
         )
-        Path(out).write_text(_json(report.as_dict()))
-        for c, entry in report.entries.items():
-            state = (
-                "no witness" if entry.redundant_in_region
-                else f"witness at ({_fmt(entry.witness[0])}, {_fmt(entry.witness[1])})"
-            )
-            click.echo(f"c={c}: {state}  ({entry.n_witness} of {entry.n_violated} violations unique)")
-        _write_manifest(
-            "probe", [],
-            {"k": k, "d": d, "s_range": s_range, "t_range": t_range, "samples": samples},
-            seed, [out],
-        )
-
-    _run(work)
+        click.echo(f"c={c}: {state}  ({entry.n_witness} of {entry.n_violated} violations unique)")
+    _write_manifest()
 
 
 @main.command()
-@click.option("--k", type=int, default=None)
-@click.option("--d", type=int, default=None)
-@click.option("--params", type=click.Path(exists=True, dir_okay=False), default=None)
+@_K
+@_D
+@_PARAMS
 @click.option("--samples", type=click.IntRange(min=1), default=1000,
               show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--beta-low", type=float, default=-3.0, show_default=True)
-@click.option("--beta-high", type=float, default=1.0, show_default=True)
+@click.option("--beta-low", type=float, default=-3.0, show_default=True,
+              callback=_finite_option)
+@click.option("--beta-high", type=float, default=1.0, show_default=True,
+              callback=_finite_option)
 @click.option("--echo", is_flag=True, help="Single-point mode: print both sensitivity systems.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def compare(k, d, params, samples, seed, beta_low, beta_high, echo, out):
@@ -506,124 +475,102 @@ def compare(k, d, params, samples, seed, beta_low, beta_high, echo, out):
     With --echo and --params, prints the per-C inequality values next to
     the per-setting saturated sensitivities for one parameter point.
     """
-
-    def work():
-        if echo:
-            theta = _resolve_theta(k, d, params, None, None)
-            m = theta.model
-            w = corner_design(m)
-            labels, values = corner_lhs(theta, m)
-            click.echo("\n".join(
-                ["inequality system:"]
-                + [f"  C={_set(label)}  lhs={_fmt(lhs)}"
-                   for label, lhs in zip(labels, values.tolist())]
-            ))
-            click.echo("saturated sensitivities (value 1 on the support):")
-            for x, value in saturated_kw_values(w, theta, m).items():
-                click.echo(f"  x={setting_string(x, m.k)}  value={_fmt(value)}")
-            return
-        if params is not None:
-            raise click.UsageError("--params is for --echo mode; grid mode uses --k/--d")
-        if k is None or d is None:
-            raise click.UsageError("--k and --d are required")
-        m = InteractionModel(k, d)
-        if beta_low >= beta_high:
-            raise click.UsageError("--beta-low must be below --beta-high")
-        rng = np.random.default_rng(seed)
+    if echo:
+        theta = _resolve_theta(k, d, params, None, None)
+        m = theta.model
         w = corner_design(m)
-        disagreements = []
-        for _ in range(samples):
-            values = np.zeros(m.p)
-            values[1:] = rng.uniform(beta_low, beta_high, size=m.p - 1)
-            theta = ParameterVector(m, values)
-            by_theorem = is_corner_optimal_by_theorem(theta, m)
-            by_kw = kw_certificate(w, theta, m)
-            if by_theorem.optimal != by_kw.optimal:
-                disagreements.append({
-                    "beta": theta.as_dict(),
-                    "theorem_optimal": by_theorem.optimal,
-                    "kw_optimal": by_kw.optimal,
-                    "max_lhs": by_theorem.max_directional_value,
-                    "kw_max": by_kw.max_directional_value,
-                })
-        payload = {
-            "k": k, "d": d, "samples": samples, "seed": seed,
-            "agreements": samples - len(disagreements),
-            "disagreements": disagreements,
-        }
-        click.echo(
-            f"agreement: {payload['agreements']}/{samples}"
-            f" ({len(disagreements)} disagreements)"
-        )
-        if out:
-            Path(out).write_text(_json(payload))
-            _write_manifest(
-                "compare", [],
-                {"k": k, "d": d, "samples": samples,
-                 "beta_low": beta_low, "beta_high": beta_high},
-                seed, [out],
-            )
-
-    _run(work)
+        labels, values = corner_lhs(theta, m)
+        click.echo("\n".join(
+            ["inequality system:"]
+            + [f"  C={_set(label)}  lhs={_fmt(lhs)}"
+               for label, lhs in zip(labels, values.tolist())]
+        ))
+        click.echo("saturated sensitivities (value 1 on the support):")
+        for x, value in saturated_kw_values(w, theta, m).items():
+            click.echo(f"  x={setting_string(x, m.k)}  value={_fmt(value)}")
+        return
+    if params is not None:
+        raise click.UsageError("--params is for --echo mode; grid mode uses --k/--d")
+    if k is None or d is None:
+        raise click.UsageError("--k and --d are required")
+    m = _model(k, d)
+    if beta_low >= beta_high:
+        raise click.UsageError("--beta-low must be below --beta-high")
+    rng = np.random.default_rng(seed)
+    w = corner_design(m)
+    disagreements = []
+    for _ in range(samples):
+        values = np.zeros(m.p)
+        values[1:] = rng.uniform(beta_low, beta_high, size=m.p - 1)
+        theta = ParameterVector(m, values)
+        by_theorem = is_corner_optimal_by_theorem(theta, m)
+        by_kw = kw_certificate(w, theta, m)
+        if by_theorem.optimal != by_kw.optimal:
+            disagreements.append({
+                "beta": theta.as_dict(),
+                "theorem_optimal": by_theorem.optimal,
+                "kw_optimal": by_kw.optimal,
+                "max_lhs": by_theorem.max_directional_value,
+                "kw_max": by_kw.max_directional_value,
+            })
+    payload = {
+        "k": k, "d": d, "samples": samples, "seed": seed,
+        "agreements": samples - len(disagreements),
+        "disagreements": disagreements,
+    }
+    click.echo(
+        f"agreement: {payload['agreements']}/{samples}"
+        f" ({len(disagreements)} disagreements)"
+    )
+    if out:
+        Path(out).write_text(_json(payload))
+        _write_manifest()
 
 
 @main.command()
-@click.option("--k", type=int, default=None)
-@click.option("--d", type=int, default=None)
-@click.option("--params", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--beta", type=str, default=None)
-@click.option("--symmetric", type=str, default=None)
+@_point_options
 @click.option("--element", type=str, required=True,
               help='Group element, e.g. "perm=2,1,3;flips=1,3".')
 @click.option("--design", "design_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Design to check the transformation law against.")
 @click.option("--orbit", is_flag=True, help="List the parameter orbit under the element.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def symmetry(k, d, params, beta, symmetric, element, design_path, orbit, out):
+def symmetry(theta, element, design_path, orbit, out):
     """Apply a symmetry to parameters; optionally verify the matrix law."""
-
-    def work():
-        theta = _resolve_theta(k, d, params, beta, symmetric)
-        m = theta.model
-        g = _parse_element(element, m.k)
-        rep = representation_matrix(g, m)
-        moved = act_on_parameters(g, theta, m)
-        click.echo(f"|det Q| = {abs(rep.det)}")
-        click.echo("transformed beta: " + json.dumps(moved.as_dict(), allow_nan=False))
-        orbit_list = [theta.as_dict()]
-        if orbit:
-            seen = {tuple(np.round(theta.values, 12))}
-            current = theta
-            while True:
-                current = act_on_parameters(g, current, m)
-                key = tuple(np.round(current.values, 12))
-                if key in seen:
-                    break
-                seen.add(key)
-                orbit_list.append(current.as_dict())
-            click.echo(f"orbit size {len(orbit_list)}")
-        if design_path:
-            w = load_design(design_path, m.k)
-            report = verify_transformation(g, w, theta, m)
-            click.echo(
-                f"transformation residual={_fmt(report.max_residual)}"
-                f"  det-difference={_fmt(report.det_difference)}"
-            )
-            moved_design = act_on_design(g, w)
-            click.echo(
-                "transformed design support: "
-                + ",".join(setting_string(x, m.k) for x in moved_design.support)
-            )
-        if out:
-            payload = orbit_list if orbit else [moved.as_dict()]
-            Path(out).write_text(_json(payload))
-            _write_manifest(
-                "symmetry", [p for p in (params,) if p],
-                {"k": k, "d": d, "element": element, "orbit": orbit},
-                None, [out],
-            )
-
-    _run(work)
+    m = theta.model
+    g = _parse_element(element, m.k)
+    rep = representation_matrix(g, m)
+    moved = act_on_parameters(g, theta, m)
+    click.echo(f"|det Q| = {abs(rep.det)}")
+    click.echo("transformed beta: " + json.dumps(moved.as_dict(), allow_nan=False))
+    orbit_list = [theta.as_dict()]
+    if orbit:
+        seen = {tuple(np.round(theta.values, 12))}
+        current = theta
+        while True:
+            current = act_on_parameters(g, current, m)
+            key = tuple(np.round(current.values, 12))
+            if key in seen:
+                break
+            seen.add(key)
+            orbit_list.append(current.as_dict())
+        click.echo(f"orbit size {len(orbit_list)}")
+    if design_path:
+        w = load_design(design_path, m.k)
+        report = verify_transformation(g, w, theta, m)
+        click.echo(
+            f"transformation residual={_fmt(report.max_residual)}"
+            f"  det-difference={_fmt(report.det_difference)}"
+        )
+        moved_design = act_on_design(g, w)
+        click.echo(
+            "transformed design support: "
+            + ",".join(setting_string(x, m.k) for x in moved_design.support)
+        )
+    if out:
+        payload = orbit_list if orbit else [moved.as_dict()]
+        Path(out).write_text(_json(payload))
+        _write_manifest()
 
 
 if __name__ == "__main__":

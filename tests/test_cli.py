@@ -11,6 +11,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -77,10 +78,180 @@ def test_import_loads_no_scipy():
     ["optimize", "--k", "2", "--d", "1", "--prune-threshold", "1e-8"],
     ["probe", "--k", "5", "--d", "2", "--s-range", "0.001:1.0",
      "--t-range", "0.001:1.0", "--samples", "0"],
-], ids=["max-iterations", "kw-tolerance", "prune-threshold", "samples"])
+    ["compare", "--k", "3", "--d", "1", "--samples", "5",
+     "--beta-low", "nan", "--beta-high", "1"],
+    ["compare", "--k", "3", "--d", "1", "--samples", "5",
+     "--beta-low", "-inf", "--beta-high", "1"],
+    ["inequalities", "--k", "2", "--d", "1", "--symmetric", "s=nan"],
+    ["inequalities", "--k", "2", "--d", "1", "--symmetric", "s=inf"],
+    ["inequalities", "--k", "3", "--d", "2", "--symmetric", "s=0.5,t=nan"],
+    ["inequalities", "--k", "2", "--d", "1", "--beta", '{"1": NaN}'],
+    ["inequalities", "--k", "2", "--d", "1", "--beta", '{"1": 1e999}'],
+    ["inequalities", "--k", "2", "--d", "1", "--beta", '{"1": 1%s}' % ("0" * 400)],
+], ids=["max-iterations", "kw-tolerance", "prune-threshold", "samples",
+        "compare-beta-low-nan", "compare-beta-low-inf", "symmetric-s-nan",
+        "symmetric-s-inf", "symmetric-t-nan", "beta-nan", "beta-overflow",
+        "beta-int-overflow"])
 def test_invalid_flag_values_exit_2(runner, tmp_path, argv):
     result = runner.invoke(main, argv + ["--out", str(tmp_path / "out.json")])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["inequalities", "--k", "0", "--d", "1"],
+    ["inequalities", "--k", "21", "--d", "1"],
+    ["inequalities", "--k", "3", "--d", "4"],
+    ["region-slice", "--k", "21", "--d", "2", "--s-grid", "0.5", "--t-grid", "0.5"],
+    ["probe", "--k", "21", "--d", "2", "--s-range", "0.1:1", "--t-range", "0.1:1",
+     "--samples", "10"],
+    ["center-path", "--k", "0", "--d", "1", "--lambdas", "0.5"],
+    ["compare", "--k", "3", "--d", "4", "--samples", "5"],
+], ids=["k-zero", "k-above-limit", "d-above-k", "region-slice-k-above-limit",
+        "probe-k-above-limit", "center-path-k-zero", "compare-d-above-k"])
+def test_model_size_out_of_range_exit_2(runner, tmp_path, argv):
+    out = tmp_path / "out.json"
+    result = runner.invoke(main, argv + ["--out", str(out)])
+    assert result.exit_code == 2
+    assert "Usage:" in result.output
+    assert not out.exists()
+
+
+#: For every file-writing command: a base argv, and for each non-path option
+#: an argv that changes that option's value.  ``fixed`` names the options
+#: that cannot change while the command still writes its output.
+MANIFEST_CASES = {
+    "inequalities": dict(
+        base=["--k", "3", "--d", "1", "--symmetric", "s=0.5"],
+        variants={
+            "k": ["--k", "4", "--d", "1", "--symmetric", "s=0.5"],
+            "d": ["--k", "3", "--d", "2", "--symmetric", "s=0.5"],
+            "beta": ["--k", "3", "--d", "1", "--beta", '{"1": -1}'],
+            "symmetric": ["--k", "3", "--d", "1", "--symmetric", "s=0.6"],
+        },
+        fixed=set(),
+    ),
+    "optimize": dict(
+        base=["--k", "2", "--d", "1", "--symmetric", "s=0.3"],
+        variants={
+            "k": ["--k", "3", "--d", "1", "--symmetric", "s=0.3"],
+            "d": ["--k", "2", "--d", "2", "--symmetric", "s=0.3"],
+            "beta": ["--k", "2", "--d", "1", "--beta", '{"1": -1.5, "2": -1.5}'],
+            "symmetric": ["--k", "2", "--d", "1", "--symmetric", "s=0.2"],
+            "max_iterations": ["--k", "2", "--d", "1", "--symmetric", "s=0.3",
+                               "--max-iterations", "5000"],
+            "kw_tolerance": ["--k", "2", "--d", "1", "--symmetric", "s=0.3",
+                             "--kw-tolerance", "1e-6"],
+        },
+        fixed=set(),
+    ),
+    "center-path": dict(
+        base=["--k", "2", "--d", "1", "--lambdas", "0.5,0.6"],
+        variants={
+            "k": ["--k", "3", "--d", "1", "--lambdas", "0.5,0.6"],
+            "d": ["--k", "3", "--d", "2", "--lambdas", "0.5,0.6"],
+            "lambdas": ["--k", "2", "--d", "1", "--lambdas", "0.5,0.7"],
+        },
+        fixed=set(),
+    ),
+    "region-slice": dict(
+        base=["--k", "3", "--d", "2", "--s-grid", "0.5", "--t-grid", "0.5"],
+        variants={
+            "k": ["--k", "4", "--d", "2", "--s-grid", "0.5", "--t-grid", "0.5"],
+            "s_grid": ["--k", "3", "--d", "2", "--s-grid", "0.4", "--t-grid", "0.5"],
+            "t_grid": ["--k", "3", "--d", "2", "--s-grid", "0.5", "--t-grid", "0.4"],
+        },
+        fixed={"d"},  # the slice exists only at d = 2
+    ),
+    "probe": dict(
+        base=["--k", "3", "--d", "2", "--s-range", "0.1:1", "--t-range", "0.1:1",
+              "--samples", "10", "--seed", "0"],
+        variants={
+            "k": ["--k", "4", "--d", "2", "--s-range", "0.1:1", "--t-range", "0.1:1",
+                  "--samples", "10", "--seed", "0"],
+            "s_range": ["--k", "3", "--d", "2", "--s-range", "0.2:1",
+                        "--t-range", "0.1:1", "--samples", "10", "--seed", "0"],
+            "t_range": ["--k", "3", "--d", "2", "--s-range", "0.1:1",
+                        "--t-range", "0.2:1", "--samples", "10", "--seed", "0"],
+            "samples": ["--k", "3", "--d", "2", "--s-range", "0.1:1",
+                        "--t-range", "0.1:1", "--samples", "11", "--seed", "0"],
+            "seed": ["--k", "3", "--d", "2", "--s-range", "0.1:1", "--t-range", "0.1:1",
+                     "--samples", "10", "--seed", "1"],
+        },
+        fixed={"d"},  # the slice exists only at d = 2
+    ),
+    "compare": dict(
+        base=["--k", "2", "--d", "1", "--samples", "3", "--seed", "0"],
+        variants={
+            "k": ["--k", "3", "--d", "1", "--samples", "3", "--seed", "0"],
+            "d": ["--k", "2", "--d", "2", "--samples", "3", "--seed", "0"],
+            "samples": ["--k", "2", "--d", "1", "--samples", "4", "--seed", "0"],
+            "seed": ["--k", "2", "--d", "1", "--samples", "3", "--seed", "1"],
+            "beta_low": ["--k", "2", "--d", "1", "--samples", "3", "--seed", "0",
+                         "--beta-low", "-2"],
+            "beta_high": ["--k", "2", "--d", "1", "--samples", "3", "--seed", "0",
+                          "--beta-high", "0.5"],
+        },
+        fixed={"echo"},  # --echo prints one point and writes no file
+    ),
+    "symmetry": dict(
+        base=["--k", "2", "--d", "1", "--beta", '{"1": 0.5}', "--element", "perm=2,1"],
+        variants={
+            "k": ["--k", "3", "--d", "1", "--beta", '{"1": 0.5}', "--element", "perm=2,1,3"],
+            "d": ["--k", "2", "--d", "2", "--beta", '{"1": 0.5}', "--element", "perm=2,1"],
+            "beta": ["--k", "2", "--d", "1", "--beta", '{"1": -2}', "--element", "perm=2,1"],
+            "symmetric": ["--k", "2", "--d", "1", "--symmetric", "s=0.5",
+                          "--element", "perm=2,1"],
+            "element": ["--k", "2", "--d", "1", "--beta", '{"1": 0.5}',
+                        "--element", "flips=1"],
+            "orbit": ["--k", "2", "--d", "1", "--beta", '{"1": 0.5}', "--element", "perm=2,1",
+                      "--orbit"],
+        },
+        fixed=set(),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_CASES))
+def test_every_flag_changes_the_manifest(runner, tmp_path, command):
+    case = MANIFEST_CASES[command]
+    options = {
+        p.name for p in main.commands[command].params
+        if not isinstance(p.type, click.Path)
+    }
+    assert set(case["variants"]) | case["fixed"] == options
+
+    def manifest(argv, tag):
+        out = tmp_path / f"{tag}.out"
+        result = runner.invoke(main, [command, *argv, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        return strict_json(Path(f"{out}.manifest.json").read_text())
+
+    base = manifest(case["base"], "base")
+    assert set(base["flags"]) == options - {"seed"}
+    for name, argv in case["variants"].items():
+        changed = manifest(argv, name)
+        if name == "seed":
+            assert changed["seed"] != base["seed"]
+        else:
+            assert changed["flags"][name] != base["flags"][name], name
+
+
+def test_manifest_lists_every_given_path(runner, tmp_path, params_file):
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps(
+        {"k": 2, "weights": {"00": 0.5, "10": 0.25, "01": 0.25}}
+    ))
+    out = tmp_path / "orbit.json"
+    result = runner.invoke(
+        main, ["symmetry", "--params", str(params_file), "--element", "flips=1",
+               "--design", str(design), "--out", str(out)],
+    )
+    assert result.exit_code == 0
+    manifest = strict_json((tmp_path / "orbit.json.manifest.json").read_text())
+    assert manifest["command"] == "symmetry"
+    assert manifest["inputs"] == [str(params_file), str(design)]
+    assert manifest["outputs"] == [str(out)]
+    assert manifest["seed"] is None
 
 
 PROBE_ARGV = ["probe", "--k", "5", "--d", "2", "--s-range", "0.001:1.0",
