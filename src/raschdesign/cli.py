@@ -165,7 +165,10 @@ def _resolve_theta(k, d, params, beta, symmetric) -> ParameterVector:
         return ParameterVector.from_dict(m, mapping)
     if symmetric is not None:
         point = _parse_symmetric(symmetric)
-        return ParameterVector.symmetric(m, point["s"], point.get("t"))
+        try:
+            return ParameterVector.symmetric(m, point["s"], point.get("t"))
+        except ValueError as exc:  # s or t not positive, or t at d = 1
+            raise click.UsageError(f"--symmetric: {exc}") from exc
     return ParameterVector.zeros(m)
 
 
@@ -476,6 +479,8 @@ def compare(k, d, params, samples, seed, beta_low, beta_high, echo, out):
     the per-setting saturated sensitivities for one parameter point.
     """
     if echo:
+        if out is not None:
+            raise click.UsageError("--echo prints one point and writes no file; drop --out")
         theta = _resolve_theta(k, d, params, None, None)
         m = theta.model
         w = corner_design(m)

@@ -25,8 +25,8 @@ from .exceptions import InfeasibleStart, NotInAffineHull
 from .model import (
     InteractionModel,
     ParameterVector,
-    _check_model,
     _cholesky,
+    intensities,
     regression_matrix,
     setting_string,
 )
@@ -35,6 +35,12 @@ from .model import (
 MEMBERSHIP_TOL = 1e-8
 #: Relative rank threshold for selecting independent directions.
 RANK_TOL = 1e-10
+#: Newton steps ``analytic_center`` takes at most.
+CENTER_MAX_ITERATIONS = 200
+#: A log det gain above the start beyond this is reported as unbounded.
+LOG_DET_CEILING = 50.0
+#: A Newton decrement at most this converges ``analytic_center``.
+DECREMENT_TOL = 1e-18
 #: A Newton decrement below this times max(1, |log det|) is rounding.
 _ROUNDING = 8 * np.finfo(float).eps
 
@@ -105,9 +111,8 @@ class MembershipResult:
 
 def polytope_vertices(theta: ParameterVector, m: InteractionModel) -> PolytopeModel:
     """All 2^k rank-one vertices and a chart of independent differences."""
-    _check_model(theta, m)
+    lam = intensities(theta, m)  # checks that theta belongs to m
     rows = regression_matrix(m).astype(float)
-    lam = np.exp(rows @ theta.values)
     vertices = lam[:, None, None] * rows[:, :, None] * rows[:, None, :]
     diffs = (vertices - vertices[0]).reshape(len(rows), -1)
     kept: list[int] = []
@@ -182,18 +187,16 @@ def analytic_center(
     sl: LmiSlice,
     start: Sequence[float] | None = None,
     polytope: PolytopeModel | None = None,
-    max_iterations: int = 200,
-    log_det_ceiling: float = 50.0,
-    decrement_tol: float = 1e-18,
 ) -> CenterResult:
     """Damped Newton maximization of log det over the LMI slice.
 
     Backtracking halves the step until the iterate stays positive definite
-    and achieves sufficient increase.  The run converges when the Newton
-    decrement is at most ``decrement_tol``, or when it is at the rounding
+    and achieves sufficient increase, for at most
+    ``CENTER_MAX_ITERATIONS`` steps.  The run converges when the Newton
+    decrement is at most ``DECREMENT_TOL``, or when it is at the rounding
     level of log det, where one last pure Newton step is taken without
     the increase test.  A log det gain beyond
-    ``log_det_ceiling`` above the start is reported as unbounded.  The
+    ``LOG_DET_CEILING`` above the start is reported as unbounded.  The
     default start is the coordinate centroid of the vertices, which
     requires ``polytope``; when ``polytope`` is given, membership of the
     center and its convex weights are filled in on convergence.
@@ -211,13 +214,13 @@ def analytic_center(
     start_value = value
     status = CenterStatus.MAX_ITERATIONS
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, CENTER_MAX_ITERATIONS + 1):
         try:
             step = np.linalg.solve(-hess, grad)
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(-hess, grad, rcond=None)
         decrement = float(grad @ step)
-        if decrement <= decrement_tol:
+        if decrement <= DECREMENT_TOL:
             status = CenterStatus.CONVERGED
             break
         if decrement <= _ROUNDING * max(1.0, abs(value)):
@@ -248,7 +251,7 @@ def analytic_center(
                 else CenterStatus.MAX_ITERATIONS
             )
             break
-        if value - start_value > log_det_ceiling:
+        if value - start_value > LOG_DET_CEILING:
             status = CenterStatus.UNBOUNDED
             break
 

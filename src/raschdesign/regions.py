@@ -77,6 +77,8 @@ from .model import (
 THEOREM_TOL = 1e-9
 #: Relative verdict tolerance for sensitivity checks (d(x) <= p * (1 + tol)).
 KW_TOL = 1e-7
+#: Relative deviation from 1/p that a saturated design's weights may show.
+UNIFORM_TOL = 1e-6
 
 
 def _exp(v: float) -> float:
@@ -306,7 +308,6 @@ def saturated_kw_values(
     w: Design,
     theta: ParameterVector,
     m: InteractionModel,
-    uniform_tol: float = 1e-6,
 ) -> dict[int, float]:
     """Sensitivity/p at every setting for a saturated uniform design.
 
@@ -315,7 +316,8 @@ def saturated_kw_values(
     the diagonal holding the support intensities, the value at x is
     lambda(x) * sum_i v_i^2 / lambda(x_i) where v = F_w^{-T} f(x).  Values
     at support points are exactly 1 up to rounding; the design is optimal
-    iff all values are <= 1.
+    iff all values are <= 1.  The weights must be 1/p within a relative
+    ``UNIFORM_TOL``.
     """
     _check_model(theta, m)
     support = sorted(w.support)
@@ -325,9 +327,9 @@ def saturated_kw_values(
         )
     target = 1.0 / m.p
     off = max(abs(w.weights[x] - target) for x in support)
-    if off > uniform_tol * target:
+    if off > UNIFORM_TOL * target:
         raise NotSaturated(
-            f"saturated weights deviate from 1/p by {off:.3e} (tol {uniform_tol:.0e})"
+            f"saturated weights deviate from 1/p by {off:.3e} (tol {UNIFORM_TOL:.0e})"
         )
     f_w = regression_matrix(m, support).astype(float)
     rows = regression_matrix(m).astype(float)
@@ -337,9 +339,8 @@ def saturated_kw_values(
         raise SingularSupport(
             "support regression vectors do not form an invertible matrix"
         ) from exc
-    lam = np.exp(rows @ theta.values)
-    lam_support = np.exp(f_w @ theta.values)
-    vals = lam * np.einsum("ij,i->j", v**2, 1.0 / lam_support)
+    lam = intensities(theta, m)
+    vals = lam * np.einsum("ij,i->j", v**2, 1.0 / lam[support])
     return {x: float(vals[x]) for x in m.settings()}
 
 

@@ -10,6 +10,12 @@ an integer matrix Q_g with |det Q_g| = 1.  Parameters transform with the
 inverse transpose, which keeps the regression response invariant, and
 information matrices transform by congruence with Q_g (determinant
 unchanged).
+
+Q_g is solved exactly on the corner settings and checked by its support:
+f_A(g o x) reads only the rules in A' = perm^-1(A), so a row A of Q_g that
+is zero outside the subsets of A' holds on all 2^k settings once it holds
+on the subsets of A', which are corner settings.  The check costs O(p^2),
+so ``symmetry --orbit`` runs at (k, d) = (20, 2) in about a second.
 """
 
 from __future__ import annotations
@@ -109,21 +115,21 @@ class Representation:
 
 
 def representation_matrix(g: GroupElement, m: InteractionModel) -> Representation:
-    """Solve for Q exactly on the corner support and verify on all settings.
+    """Solve for Q exactly on the corner support and check it by its support.
 
     The corner support's regression matrix is unimodular with a known
-    integer inverse, so Q comes out in exact integer arithmetic.
+    integer inverse, so Q comes out in exact integer arithmetic.  Row A of
+    Q must be zero outside the subsets of perm^-1(A) (see the module notes).
     """
     if g.k != m.k:
         raise ValueError(f"group element on {g.k} rules, model on {m.k}")
-    corner = [subset_mask(s) for s in m.subsets]
-    moved = [act_on_setting(g, x, m.k) for x in corner]
-    g_rows = regression_matrix(m, moved)
-    q_t = inverse_model_matrix(m) @ g_rows
-    q = q_t.T
-    all_rows = regression_matrix(m)
-    moved_rows = regression_matrix(m, [act_on_setting(g, x, m.k) for x in m.settings()])
-    if not np.array_equal(moved_rows, all_rows @ q.T):
+    moved = [act_on_setting(g, x, m.k) for x in m.masks]
+    q = (inverse_model_matrix(m) @ regression_matrix(m, moved)).T
+    masks = np.asarray(m.masks, dtype=np.int64)
+    pulled = np.zeros_like(masks)  # A' = perm^-1(A): rule i is in A' iff perm(i) is in A
+    for i, image in enumerate(g.perm):
+        pulled |= ((masks >> (image - 1)) & 1) << i
+    if np.any((q != 0) & ((masks[None, :] & ~pulled[:, None]) != 0)):
         raise AssertionError(
             "regression action is not linear; representation solve is inconsistent"
         )

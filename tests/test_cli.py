@@ -88,10 +88,14 @@ def test_import_loads_no_scipy():
     ["inequalities", "--k", "2", "--d", "1", "--beta", '{"1": NaN}'],
     ["inequalities", "--k", "2", "--d", "1", "--beta", '{"1": 1e999}'],
     ["inequalities", "--k", "2", "--d", "1", "--beta", '{"1": 1%s}' % ("0" * 400)],
+    ["inequalities", "--k", "2", "--d", "1", "--symmetric", "s=-1"],
+    ["inequalities", "--k", "3", "--d", "2", "--symmetric", "s=0.5,t=-1"],
+    ["inequalities", "--k", "2", "--d", "1", "--symmetric", "s=0.5,t=0.5"],
 ], ids=["max-iterations", "kw-tolerance", "prune-threshold", "samples",
         "compare-beta-low-nan", "compare-beta-low-inf", "symmetric-s-nan",
         "symmetric-s-inf", "symmetric-t-nan", "beta-nan", "beta-overflow",
-        "beta-int-overflow"])
+        "beta-int-overflow", "symmetric-s-negative", "symmetric-t-negative",
+        "symmetric-t-at-d-1"])
 def test_invalid_flag_values_exit_2(runner, tmp_path, argv):
     result = runner.invoke(main, argv + ["--out", str(tmp_path / "out.json")])
     assert result.exit_code == 2
@@ -744,6 +748,16 @@ class TestCompare:
         verdict = rd.is_corner_optimal_by_theorem(theta, theta.model)
         assert verdict.optimal == all(satisfied)
 
+    def test_echo_with_out_is_a_usage_error(self, runner, params_file, tmp_path):
+        out = tmp_path / "cmp.json"
+        result = runner.invoke(
+            main, ["compare", "--params", str(params_file), "--echo", "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert "Usage:" in result.output
+        assert "--out" in result.output
+        assert list(tmp_path.iterdir()) == [params_file]
+
     def test_echo_mode(self, runner, params_file):
         result = runner.invoke(main, ["compare", "--params", str(params_file), "--echo"])
         assert result.exit_code == 0
@@ -776,6 +790,17 @@ class TestSymmetryCommand:
         )
         assert result.exit_code == 0
         assert "transformation residual=" in result.output
+
+    def test_orbit_at_k20(self, runner):
+        cycle = ",".join(map(str, range(2, 21))) + ",1"
+        result = runner.invoke(
+            main, ["symmetry", "--k", "20", "--d", "2", "--symmetric", "s=0.5,t=0.9",
+                   "--element", f"perm={cycle};flips=1", "--orbit"],
+        )
+        assert result.exit_code == 0, result.output
+        assert "|det Q| = 1" in result.output
+        # the cycle flips each rule once in 20 steps, so g^20 flips all rules
+        assert "orbit size 40" in result.output
 
     def test_invalid_element_exit_2(self, runner):
         result = runner.invoke(

@@ -1,6 +1,8 @@
 """Group elements, representation matrices, and the transformation law."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import raschdesign as rd
+import raschdesign.symmetry as symmetry
 
 
 def random_element(rng, k):
@@ -104,6 +107,57 @@ class TestRepresentation:
             for x in m.settings():
                 lhs = rd.regression_vector(rd.act_on_setting(g, x, k), m)
                 assert np.array_equal(lhs, q @ rd.regression_vector(x, m))
+
+    def test_defining_relation_for_every_element_up_to_k4(self):
+        count = 0
+        for k in range(1, 5):
+            perms = list(itertools.permutations(range(1, k + 1)))
+            flip_sets = [f for r in range(k + 1)
+                         for f in itertools.combinations(range(1, k + 1), r)]
+            for d in range(1, k + 1):
+                m = rd.InteractionModel(k, d)
+                rows = rd.regression_matrix(m)
+                for perm, flips in itertools.product(perms, flip_sets):
+                    g = rd.GroupElement(perm, flips)
+                    q = rd.representation_matrix(g, m).q
+                    moved = rd.regression_matrix(
+                        m, [rd.act_on_setting(g, x, k) for x in m.settings()]
+                    )
+                    assert np.array_equal(moved, rows @ q.T), (k, d, g)
+                    count += 1
+        assert count == 1698
+
+    def test_support_check_rejects_a_nonlinear_action(self, monkeypatch):
+        # settings with two or more active rules collapse to x = 0; f(g o x)
+        # is then not Q f(x) for any Q, and the corner solve alone cannot see it
+        monkeypatch.setattr(
+            symmetry, "act_on_setting",
+            lambda g, x, k=None: x if int(x).bit_count() < 2 else 0,
+        )
+        with pytest.raises(AssertionError, match="not linear"):
+            rd.representation_matrix(rd.GroupElement.identity(3), rd.InteractionModel(3, 2))
+
+    def test_k20_builds_no_lattice_sized_array(self):
+        m = rd.InteractionModel(20, 2)
+        g = rd.GroupElement(tuple(range(2, 21)) + (1,), (1,))
+        theta = rd.ParameterVector.symmetric(m, 0.5, 0.9)
+        tracemalloc.start()
+        try:
+            rep = rd.representation_matrix(g, m)
+            moved = rd.act_on_parameters(g, theta, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one 2^20 int64 array alone is 8 MB
+        assert peak < 8 * 2**20
+        assert abs(rep.det) == 1
+        rng = np.random.default_rng(20)
+        for x in rng.integers(0, 1 << 20, size=50):
+            x = int(x)
+            assert math.isclose(
+                rd.regression_vector(rd.act_on_setting(g, x, 20), m) @ moved.values,
+                rd.regression_vector(x, m) @ theta.values, rel_tol=1e-12, abs_tol=1e-12,
+            )
 
     def test_unimodular(self):
         rng = np.random.default_rng(4)
