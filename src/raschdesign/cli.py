@@ -46,6 +46,7 @@ from .symmetry import (
     GroupElement,
     act_on_design,
     act_on_parameters,
+    parameter_orbit,
     representation_matrix,
     verify_transformation,
 )
@@ -298,10 +299,10 @@ def inequalities(theta, out):
 
 @main.command()
 @_point_options
-@click.option("--max-iterations", type=click.IntRange(min=1), default=200_000,
-              show_default=True)
+@click.option("--max-iterations", type=click.IntRange(min=1),
+              default=OptimizerConfig.max_iterations, show_default=True)
 @click.option("--kw-tolerance", type=click.FloatRange(min=0, min_open=True),
-              default=1e-7, show_default=True)
+              default=OptimizerConfig.kw_tolerance, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True,
               help="Design JSON output path.")
 @click.option("--report", type=click.Path(dir_okay=False), default=None,
@@ -548,17 +549,8 @@ def symmetry(theta, element, design_path, orbit, out):
     moved = act_on_parameters(g, theta, m)
     click.echo(f"|det Q| = {abs(rep.det)}")
     click.echo("transformed beta: " + json.dumps(moved.as_dict(), allow_nan=False))
-    orbit_list = [theta.as_dict()]
     if orbit:
-        seen = {tuple(np.round(theta.values, 12))}
-        current = theta
-        while True:
-            current = act_on_parameters(g, current, m)
-            key = tuple(np.round(current.values, 12))
-            if key in seen:
-                break
-            seen.add(key)
-            orbit_list.append(current.as_dict())
+        orbit_list = [point.as_dict() for point in parameter_orbit(g, theta, m)]
         click.echo(f"orbit size {len(orbit_list)}")
     if design_path:
         w = load_design(design_path, m.k)

@@ -77,6 +77,7 @@ from .model import (
     _zeta,
     intensities,
 )
+from .regions import KW_TOL
 
 
 class DesignStructure(Enum):
@@ -91,7 +92,8 @@ class OptimizerConfig:
     """Iteration limits and tolerances of the multiplicative ascent."""
 
     max_iterations: int = 200_000
-    kw_tolerance: float = 1e-7
+    #: the stop test is the KW certificate's verdict, at its tolerance
+    kw_tolerance: float = KW_TOL
     seed_design: Design | None = None
 
     def __post_init__(self) -> None:
@@ -134,8 +136,8 @@ def classify_structure(
         abs(v - 1.0 / n) <= tol for v in w.weights.values()
     ):
         return DesignStructure.UNIFORM
-    corner = {x for x in m.settings() if x.bit_count() <= m.d}
-    if support == corner and all(
+    # the settings with at most d active rules are the parameter masks
+    if support == set(m.masks) and all(
         abs(v - 1.0 / m.p) <= tol for v in w.weights.values()
     ):
         return DesignStructure.CORNER

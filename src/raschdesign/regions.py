@@ -136,10 +136,11 @@ class OptimalityVerdict:
 
 
 def corner_design(m: InteractionModel) -> Design:
-    """Uniform weight 1/p on every setting with at most d active rules."""
-    support = [x for x in m.settings() if x.bit_count() <= m.d]
-    assert len(support) == m.p
-    return Design(m.k, {x: 1.0 / m.p for x in support})
+    """Uniform weight 1/p on every setting with at most d active rules.
+
+    Those settings are the masks of the parameter subsets, |A| <= d.
+    """
+    return Design(m.k, {x: 1.0 / m.p for x in m.masks})
 
 
 def corner_inequalities(m: InteractionModel) -> list[MonomialInequality]:

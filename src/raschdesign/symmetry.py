@@ -172,6 +172,27 @@ def act_on_parameters(
     return ParameterVector(m, q_inv.T @ theta.values)
 
 
+def parameter_orbit(
+    g: GroupElement, theta: ParameterVector, m: InteractionModel
+) -> list[ParameterVector]:
+    """theta, g theta, g^2 theta, ... up to the first repeat.
+
+    Points are compared rounded to 12 decimals.  Q^{-1} is built once for
+    the whole orbit, so each further point costs one matrix-vector product.
+    """
+    _check_model(theta, m)
+    q_inv = representation_matrix(g.inverse(), m).q
+    orbit = [theta]
+    seen = {tuple(np.round(theta.values, 12))}
+    while True:
+        current = ParameterVector(m, q_inv.T @ orbit[-1].values)
+        key = tuple(np.round(current.values, 12))
+        if key in seen:
+            return orbit
+        seen.add(key)
+        orbit.append(current)
+
+
 def act_on_design(g: GroupElement, w: Design) -> Design:
     """Relabeled design: the weight of setting x moves to g o x.
 

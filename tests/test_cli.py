@@ -532,6 +532,16 @@ class TestCenterPath:
         assert result.exit_code == 0
         assert "exits the polytope at param=0.41" in result.output
 
+    def test_singular_hessian_exit_1(self, runner, tmp_path):
+        # -H is singular to rounding here, so no center may be reported
+        result = runner.invoke(
+            main, ["center-path", "--k", "5", "--d", "2", "--lambdas", "0.95",
+                   "--out", str(tmp_path / "path.csv")],
+        )
+        assert result.exit_code == 1
+        assert "not negative definite" in result.output
+        assert "exits the polytope" not in result.output
+
     def test_non_finite_lambda_exit_2(self, runner, tmp_path):
         out = tmp_path / "path.csv"
         result = runner.invoke(

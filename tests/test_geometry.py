@@ -229,6 +229,42 @@ class TestAnalyticCenter:
         assert res.inside_polytope
         assert_allclose(res.coordinates, near.coordinates, rtol=0, atol=1e-9)
 
+    @staticmethod
+    def cold_center(k, d, lam):
+        m = rd.InteractionModel(k, d)
+        pm = rd.polytope_vertices(rd.ParameterVector.symmetric(m, lam), m)
+        return rd.analytic_center(rd.lmi_slice(pm), polytope=pm)
+
+    def test_cold_start_converges_at_small_intensity(self):
+        # a backtracking line search stalls at this point with gradient 8.5e-9
+        res = self.cold_center(2, 1, 0.175)
+        assert res.status is CenterStatus.CONVERGED
+        assert res.gradient_norm <= 1e-10
+
+    @pytest.mark.parametrize("lam", [0.95, 1.05])
+    def test_singular_hessian_raises(self, lam):
+        # -H reaches an eigenvalue of about -1e-14 on the way to the center
+        with pytest.raises(rd.NumericalCheckError, match=r"Newton iteration \d+"):
+            self.cold_center(5, 2, lam)
+
+    def test_converged_centers_are_stationary_on_a_grid(self):
+        for k in (2, 3, 4):
+            for d in range(1, min(k, 3) + 1):
+                for lam in np.linspace(0.05, 1.5, 59):
+                    res = self.cold_center(k, d, float(lam))
+                    if res.status is CenterStatus.CONVERGED:
+                        assert res.gradient_norm <= 1e-10, (k, d, lam)
+                    else:
+                        assert res.status is CenterStatus.UNBOUNDED, (k, d, lam)
+
+    @pytest.mark.parametrize("k, lam", [(2, 0.05), (3, 0.5)])
+    def test_unbounded_within_the_self_concordance_bound(self, k, lam):
+        # every step gains at least 1 - ln 2, so log det passes the ceiling
+        # of 50 within 163 steps
+        res = self.cold_center(k, 1, lam)
+        assert res.status is CenterStatus.UNBOUNDED
+        assert res.iterations <= 163
+
 
 class TestMembership:
     def test_center_inside_with_barycentric_weights(self):

@@ -227,6 +227,40 @@ class TestParameterAction:
         assert_allclose(moved.beta((2,)), 0.3)
 
 
+class TestParameterOrbit:
+    def test_matches_repeated_action(self):
+        m = rd.InteractionModel(4, 2)
+        theta = rd.ParameterVector.symmetric(m, 0.5, 0.9)
+        g = rd.GroupElement((2, 3, 4, 1), (1,))
+        orbit = symmetry.parameter_orbit(g, theta, m)
+        assert len(orbit) == 8  # g^4 flips every rule, g^8 is the identity
+        current = theta
+        for point in orbit[1:]:
+            current = rd.act_on_parameters(g, current, m)
+            np.testing.assert_array_equal(point.values, current.values)
+        assert_allclose(rd.act_on_parameters(g, current, m).values, theta.values,
+                        atol=1e-12)
+
+    def test_one_representation_solve_per_orbit(self, monkeypatch):
+        calls = []
+        solve = symmetry.representation_matrix
+
+        def counted(g, m):
+            calls.append(g)
+            return solve(g, m)
+
+        monkeypatch.setattr(symmetry, "representation_matrix", counted)
+        m = rd.InteractionModel(4, 2)
+        theta = rd.ParameterVector.from_dict(m, {"1": -0.5, "1,2": 0.3})
+        counts = {}
+        for element in [rd.GroupElement((2, 1, 3, 4), ()),
+                        rd.GroupElement((2, 3, 4, 1), (1,))]:
+            calls.clear()
+            orbit = symmetry.parameter_orbit(element, theta, m)
+            counts[len(orbit)] = len(calls)
+        assert counts == {2: 1, 8: 1}
+
+
 class TestDesignAction:
     def test_identity(self):
         w = rd.Design.from_weights(2, {"00": 0.5, "10": 0.5})
