@@ -9,8 +9,9 @@ one of its ``flags``.  Identical manifests reproduce identical outputs.
 
 Exit codes: 0 success, 1 computational failure (singularity,
 non-convergence), 2 usage error, which includes a malformed input file, a
-non-finite number and a --k/--d outside the model's range.  All numeric
-output is printed with 12 significant digits.
+non-finite number, a --k/--d outside the model's range and an output whose
+directory is missing or not writable.  All numeric output is printed with
+12 significant digits.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__
+from ._numpy import np
 from .exceptions import InputFormatError, RaschDesignError
 from .model import InteractionModel, ParameterVector, setting_string
 from .geometry import center_path
@@ -41,15 +43,6 @@ from .regions import (
     redundancy_probe,
     saturated_kw_values,
 )
-from .serialize import load_design, load_parameters, save_design
-from .symmetry import (
-    GroupElement,
-    act_on_design,
-    act_on_parameters,
-    parameter_orbit,
-    representation_matrix,
-    verify_transformation,
-)
 
 
 def _fmt(value: float) -> str:
@@ -65,6 +58,11 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
+def _writes(param) -> bool:
+    """Whether an option names a file the command writes."""
+    return isinstance(param.type, click.Path) and not param.type.exists
+
+
 def _write_manifest() -> None:
     """Write the running command's manifest next to its first output."""
     ctx = click.get_current_context()
@@ -73,7 +71,7 @@ def _write_manifest() -> None:
         value = ctx.params[param.name]
         if isinstance(param.type, click.Path):
             if value is not None:
-                (inputs if param.type.exists else outputs).append(str(value))
+                (outputs if _writes(param) else inputs).append(str(value))
         elif param.name != "seed":
             flags[param.name] = value
     if not outputs:
@@ -145,6 +143,8 @@ def _resolve_theta(k, d, params, beta, symmetric) -> ParameterVector:
     if given > 1:
         raise click.UsageError("give at most one of --params, --beta, --symmetric")
     if params is not None:
+        from .serialize import load_parameters
+
         theta = load_parameters(params)
         if k is not None and theta.model.k != k:
             raise click.UsageError(f"--k {k} conflicts with file k={theta.model.k}")
@@ -218,6 +218,8 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _parse_element(text: str, k: int) -> GroupElement:
+    from .symmetry import GroupElement
+
     perm = tuple(range(1, k + 1))
     flips: tuple[int, ...] = ()
     for part in text.split(";"):
@@ -242,9 +244,21 @@ def _parse_element(text: str, k: int) -> GroupElement:
 
 
 class _Command(click.Command):
-    """A subcommand whose domain errors exit 2 (bad input) or 1 (numeric failure)."""
+    """A subcommand whose domain errors exit 2 (bad input) or 1 (numeric failure).
+
+    An output whose directory is missing or not writable is a usage error,
+    raised before the command does any work.
+    """
 
     def invoke(self, ctx):
+        for param in self.params:
+            path = ctx.params.get(param.name)
+            if path is not None and _writes(param):
+                folder = os.path.dirname(os.path.abspath(path))
+                if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+                    raise click.BadParameter(
+                        f"directory {folder!r} is missing or not writable", ctx, param
+                    )
         try:
             return super().invoke(ctx)
         except InputFormatError as exc:
@@ -309,6 +323,8 @@ def inequalities(theta, out):
               help="Run-report JSON output path.")
 def optimize(theta, max_iterations, kw_tolerance, out, report):
     """Compute a D-optimal approximate design for the given parameters."""
+    from .serialize import save_design
+
     cfg = OptimizerConfig(max_iterations=max_iterations, kw_tolerance=kw_tolerance)
     result = optimize_design(theta, theta.model, cfg)
     save_design(result.design, out)
@@ -333,6 +349,8 @@ def optimize(theta, max_iterations, kw_tolerance, out, report):
               default=None, help="Design to certify (default: corner design).")
 def certify(theta, design_path):
     """Equivalence-theorem certificate for a design at given parameters."""
+    from .serialize import load_design
+
     m = theta.model
     w = load_design(design_path, m.k) if design_path else corner_design(m)
     verdict = kw_certificate(w, theta, m)
@@ -543,6 +561,15 @@ def compare(k, d, params, samples, seed, beta_low, beta_high, echo, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def symmetry(theta, element, design_path, orbit, out):
     """Apply a symmetry to parameters; optionally verify the matrix law."""
+    from .serialize import load_design
+    from .symmetry import (
+        act_on_design,
+        act_on_parameters,
+        parameter_orbit,
+        representation_matrix,
+        verify_transformation,
+    )
+
     m = theta.model
     g = _parse_element(element, m.k)
     rep = representation_matrix(g, m)

@@ -28,12 +28,12 @@ reported as unbounded, never as max-iterations.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .exceptions import InfeasibleStart, NotInAffineHull, NumericalCheckError
 from .model import (
     InteractionModel,
@@ -53,7 +53,7 @@ CENTER_MAX_ITERATIONS = 200
 #: A log det gain above the start beyond this is reported as unbounded.
 LOG_DET_CEILING = 50.0
 #: A Newton decrement below this times max(1, |log det|) is rounding.
-_ROUNDING = 8 * np.finfo(float).eps
+_ROUNDING = 8 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,8 +22,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping
 
-import numpy as np
-
+from ._numpy import np
 from .exceptions import InputFormatError, ModelSizeError
 
 #: Hard ceiling for full enumeration of {0,1}^k.

@@ -59,8 +59,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-import numpy as np
-
+from ._numpy import np
 from .exceptions import (
     MonotonicityError,
     NoBracket,

@@ -53,8 +53,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .exceptions import NotSaturated, SingularInformation, SingularSupport
 from .model import (
     Design,

@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from ._numpy import np
 from .model import (
     Design,
     InteractionModel,

@@ -72,6 +72,105 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+#: A tiny run of each subcommand; ``{params}`` and ``{design}`` are input files.
+FRESH_RUNS = {
+    "inequalities": ["--params", "{params}", "--out", "inequalities.json"],
+    "optimize": ["--k", "2", "--d", "1", "--symmetric", "s=0.3", "--out", "design.json",
+                 "--report", "report.json"],
+    "certify": ["--k", "2", "--d", "1", "--design", "{design}"],
+    "center-path": ["--k", "2", "--d", "1", "--lambdas", "0.5,0.6", "--out", "path.csv",
+                    "--matrices-out", "matrices.json"],
+    "region-slice": ["--k", "3", "--d", "2", "--s-grid", "0.5", "--t-grid", "0.5",
+                     "--out", "slice.csv"],
+    "probe": ["--k", "3", "--d", "2", "--s-range", "0.1:1", "--t-range", "0.1:1",
+              "--samples", "10", "--out", "probe.json"],
+    "compare": ["--k", "3", "--d", "1", "--samples", "5", "--out", "compare.json"],
+    "symmetry": ["--params", "{params}", "--element", "flips=1", "--design", "{design}",
+                 "--orbit", "--out", "orbit.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FRESH_RUNS))
+def test_fresh_process_matches_in_process(fresh_python, runner, tmp_path, monkeypatch,
+                                          params_file, command):
+    # numpy is loaded on first use in a fresh process, and eagerly here
+    assert set(FRESH_RUNS) == set(main.commands)
+    design = tmp_path / "given_design.json"
+    design.write_text(json.dumps({"k": 2, "weights": {"00": 0.5, "10": 0.25, "01": 0.25}}))
+    argv = [command, *(a.format(params=params_file, design=design)
+                       for a in FRESH_RUNS[command])]
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    fresh.mkdir()
+    here.mkdir()
+    proc = fresh_python("-m", "raschdesign.cli", *argv, cwd=fresh)
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.chdir(here)
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    assert proc.stdout == result.output
+    written = sorted(p.name for p in fresh.iterdir())
+    assert written == sorted(p.name for p in here.iterdir())
+    for name in written:
+        assert (fresh / name).read_bytes() == (here / name).read_bytes(), name
+
+
+#: Starts: (argv, exit code, whether the start loads numpy).
+STARTS = {
+    "version": (["--version"], 0, False),
+    "help": (["--help"], 0, False),
+    "optimize-help": (["optimize", "--help"], 0, False),
+    "flag-conflict": (["inequalities", "--k", "2", "--d", "1", "--beta", '{"1": 0}',
+                       "--symmetric", "s=0.5"], 2, False),
+    "unwritable-out": (["optimize", "--k", "2", "--d", "1", "--out",
+                        "missing/design.json"], 2, False),
+    "computes": (["inequalities", "--k", "2", "--d", "1"], 0, True),
+}
+ENTRY_POINTS = {
+    "module": ["-m", "raschdesign.cli"],
+    # what the ``raschdesign`` console script runs
+    "console-script": ["-c", "import sys; from raschdesign.cli import main; sys.exit(main())"],
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("start", list(STARTS))
+def test_only_computing_starts_load_numpy(fresh_python, tmp_path, entry, start):
+    argv, code, loads_numpy = STARTS[start]
+    proc = fresh_python("-X", "importtime", *ENTRY_POINTS[entry], *argv, cwd=tmp_path)
+    assert proc.returncode == code, proc.stderr
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "click" in imported
+    assert ("numpy._core" in imported) == loads_numpy
+    assert "Traceback" not in proc.stderr
+
+
+#: (command, option) for every option that names a file the command writes.
+OUTPUT_OPTIONS = [
+    (name, param.opts[0])
+    for name, command in sorted(main.commands.items())
+    for param in command.params
+    if isinstance(param.type, click.Path) and not param.type.exists
+]
+
+
+@pytest.mark.parametrize("blocked", ["missing-directory", "file-as-directory"])
+@pytest.mark.parametrize("command, option", OUTPUT_OPTIONS,
+                         ids=[f"{c}{o}" for c, o in OUTPUT_OPTIONS])
+def test_unwritable_output_exit_2_before_work(runner, tmp_path, command, option, blocked):
+    folder = tmp_path / "folder"
+    if blocked == "file-as-directory":
+        folder.write_text("")
+    argv = [command, *MANIFEST_CASES[command]["base"]]
+    if option != "--out":
+        argv += ["--out", str(tmp_path / "out.json")]
+    result = runner.invoke(main, argv + [option, str(folder / "x.json")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # a usage error, not a traceback
+    assert f"'{option}'" in result.output
+    assert {p.name for p in tmp_path.iterdir()} <= {"folder"}
+
+
 @pytest.mark.parametrize("argv", [
     ["optimize", "--k", "2", "--d", "1", "--max-iterations", "0"],
     ["optimize", "--k", "2", "--d", "1", "--kw-tolerance", "0"],
