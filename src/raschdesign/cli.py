@@ -33,7 +33,6 @@ from .geometry import center_path
 from .optimizer import OptimizerConfig, optimize_design
 from .regions import (
     _VERDICTS,
-    THEOREM_TOL,
     _slice_grid,
     _theorem_verdict,
     corner_design,
@@ -43,6 +42,7 @@ from .regions import (
     redundancy_probe,
     saturated_kw_values,
 )
+from .serialize import load_design, load_parameters, save_design, write_json
 
 
 def _fmt(value: float) -> str:
@@ -51,11 +51,6 @@ def _fmt(value: float) -> str:
 
 def _set(label) -> str:
     return "{" + ",".join(map(str, label)) + "}"
-
-
-def _json(payload) -> str:
-    """Strict JSON text: a non-finite number raises instead of being written."""
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _writes(param) -> bool:
@@ -84,7 +79,7 @@ def _write_manifest() -> None:
         "version": __version__,
         "outputs": outputs,
     }
-    Path(outputs[0] + ".manifest.json").write_text(_json(manifest))
+    write_json(outputs[0] + ".manifest.json", manifest)
 
 
 def _float(text, where: str) -> float:
@@ -143,8 +138,6 @@ def _resolve_theta(k, d, params, beta, symmetric) -> ParameterVector:
     if given > 1:
         raise click.UsageError("give at most one of --params, --beta, --symmetric")
     if params is not None:
-        from .serialize import load_parameters
-
         theta = load_parameters(params)
         if k is not None and theta.model.k != k:
             raise click.UsageError(f"--k {k} conflicts with file k={theta.model.k}")
@@ -285,11 +278,12 @@ def inequalities(theta, out):
     """List the corner-optimality inequalities with their values."""
     m = theta.model
     labels, values = corner_lhs(theta, m)
-    verdict = _theorem_verdict(labels, values, m.k)
+    verdict = _theorem_verdict(values, m)
+    violated = set(verdict.violated_labels)
     records = []
     lines = []
     for label, lhs in zip(labels, values.tolist()):
-        satisfied = lhs <= 1.0 + THEOREM_TOL
+        satisfied = label not in violated
         records.append({"C": list(label), "lhs": lhs, "satisfied": satisfied})
         mark = "ok " if satisfied else "VIOLATED"
         lines.append(f"C={_set(label)}  lhs={_fmt(lhs)}  {mark}")
@@ -307,7 +301,7 @@ def inequalities(theta, out):
             # an empty system (d == k) has no maximum
             "max_lhs": verdict.max_directional_value if labels else None,
         }
-        Path(out).write_text(_json(payload))
+        write_json(out, payload)
         _write_manifest()
 
 
@@ -323,17 +317,15 @@ def inequalities(theta, out):
               help="Run-report JSON output path.")
 def optimize(theta, max_iterations, kw_tolerance, out, report):
     """Compute a D-optimal approximate design for the given parameters."""
-    from .serialize import save_design
-
     cfg = OptimizerConfig(max_iterations=max_iterations, kw_tolerance=kw_tolerance)
     result = optimize_design(theta, theta.model, cfg)
     save_design(result.design, out)
     if report:
-        Path(report).write_text(_json({
+        write_json(report, {
             "iterations": result.iterations, "final_kw_max": result.final_kw_max,
             "log_det": result.log_det, "structure": result.structure.value,
             "converged": result.converged, "support_size": result.support_size,
-        }))
+        })
     click.echo(
         f"structure={result.structure.value}  iterations={result.iterations}"
         f"  kw-max={_fmt(result.final_kw_max)}  log-det={_fmt(result.log_det)}"
@@ -349,8 +341,6 @@ def optimize(theta, max_iterations, kw_tolerance, out, report):
               default=None, help="Design to certify (default: corner design).")
 def certify(theta, design_path):
     """Equivalence-theorem certificate for a design at given parameters."""
-    from .serialize import load_design
-
     m = theta.model
     w = load_design(design_path, m.k) if design_path else corner_design(m)
     verdict = kw_certificate(w, theta, m)
@@ -407,7 +397,7 @@ def cmd_center_path(k, d, lambdas, out, matrices_out):
             }
             for row in path.rows
         ]
-        Path(matrices_out).write_text(_json(dump))
+        write_json(matrices_out, dump)
     if path.first_exit is not None:
         click.echo(f"center exits the polytope at param={_fmt(path.first_exit)}")
     _write_manifest()
@@ -468,7 +458,7 @@ def probe(k, d, s_range, t_range, samples, seed, out):
         m, parse_range(s_range, "s-range"), parse_range(t_range, "t-range"),
         samples, seed,
     )
-    Path(out).write_text(_json(report.as_dict()))
+    write_json(out, report.as_dict())
     for c, entry in report.entries.items():
         state = (
             "no witness" if entry.redundant_in_region
@@ -504,13 +494,14 @@ def compare(k, d, params, samples, seed, beta_low, beta_high, echo, out):
         m = theta.model
         w = corner_design(m)
         labels, values = corner_lhs(theta, m)
+        saturated = saturated_kw_values(w, theta, m)
         click.echo("\n".join(
             ["inequality system:"]
             + [f"  C={_set(label)}  lhs={_fmt(lhs)}"
                for label, lhs in zip(labels, values.tolist())]
         ))
         click.echo("saturated sensitivities (value 1 on the support):")
-        for x, value in saturated_kw_values(w, theta, m).items():
+        for x, value in saturated.items():
             click.echo(f"  x={setting_string(x, m.k)}  value={_fmt(value)}")
         return
     if params is not None:
@@ -547,7 +538,7 @@ def compare(k, d, params, samples, seed, beta_low, beta_high, echo, out):
         f" ({len(disagreements)} disagreements)"
     )
     if out:
-        Path(out).write_text(_json(payload))
+        write_json(out, payload)
         _write_manifest()
 
 
@@ -561,7 +552,6 @@ def compare(k, d, params, samples, seed, beta_low, beta_high, echo, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def symmetry(theta, element, design_path, orbit, out):
     """Apply a symmetry to parameters; optionally verify the matrix law."""
-    from .serialize import load_design
     from .symmetry import (
         act_on_design,
         act_on_parameters,
@@ -593,7 +583,7 @@ def symmetry(theta, element, design_path, orbit, out):
         )
     if out:
         payload = orbit_list if orbit else [moved.as_dict()]
-        Path(out).write_text(_json(payload))
+        write_json(out, payload)
         _write_manifest()
 
 

@@ -11,6 +11,7 @@ The affine chart uses the x = 0 vertex as base point and a maximal
 linearly independent set of vertex differences as directions, taken in
 increasing setting order.  When the analytic center is a convex
 combination of the vertices, those weights are a D-optimal design.
+Membership decides at the fixed ``MEMBERSHIP_TOL``.
 
 The center is found by the damped Newton method.  -log det S(u) is
 self-concordant (Nesterov & Nemirovskii 1994; Nesterov, Introductory
@@ -158,10 +159,15 @@ def lmi_slice(pm: PolytopeModel) -> LmiSlice:
 
 def vertex_coordinates(pm: PolytopeModel) -> np.ndarray:
     """Chart coordinates of every vertex (rows follow ``pm.settings``)."""
-    a = pm.directions.reshape(pm.dim, -1)
-    gram = a @ a.T
     diffs = (pm.vertices - pm.vertices[pm.base_index]).reshape(pm.n_vertices, -1)
-    return np.linalg.solve(gram, a @ diffs.T).T
+    return _chart_solve(pm, diffs)[0]
+
+
+def _chart_solve(pm: PolytopeModel, diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares chart coordinates of one flattened difference from the
+    base, or of a stack of them, and the flattened directions."""
+    a = pm.directions.reshape(pm.dim, -1)
+    return np.linalg.solve(a @ a.T, a @ diffs.T).T, a
 
 
 def log_det_gradient_hessian(sl: LmiSlice, u) -> tuple[float, np.ndarray, np.ndarray]:
@@ -264,33 +270,24 @@ def analytic_center(
     )
 
 
-def _project_to_chart(pm: PolytopeModel, point: np.ndarray, tol: float) -> np.ndarray:
-    a = pm.directions.reshape(pm.dim, -1)
-    rhs = (point - pm.vertices[pm.base_index]).ravel()
-    gram = a @ a.T
-    u = np.linalg.solve(gram, a @ rhs)
-    residual = np.linalg.norm(a.T @ u - rhs)
-    if residual > tol * max(1.0, np.linalg.norm(rhs)):
-        raise NotInAffineHull(
-            f"projection residual {residual:.3e} exceeds tolerance {tol:.0e}"
-        )
-    return u
-
-
-def polytope_membership(
-    pm: PolytopeModel, point, tol: float = MEMBERSHIP_TOL
-) -> MembershipResult:
+def polytope_membership(pm: PolytopeModel, point) -> MembershipResult:
     """Test whether a point is a convex combination of the vertices.
 
     ``point`` is either chart coordinates or a p x p matrix (projected to
     the chart first; off-hull matrices raise ``NotInAffineHull``).  When
     the vertex count is dim + 1 the polytope is a simplex and membership
     is a barycentric sign check; otherwise a nonnegative least-squares
-    solve finds weights, feasible when its residual is at most ``tol``.
+    solve finds weights.  Both use ``MEMBERSHIP_TOL``: a barycentric
+    weight may fall to minus it, and the NNLS residual may reach it.
     """
     point = np.asarray(point, dtype=float)
     if point.ndim == 2:
-        u = _project_to_chart(pm, point, tol)
+        rhs = (point - pm.vertices[pm.base_index]).ravel()
+        u, a = _chart_solve(pm, rhs)
+        residual = np.linalg.norm(a.T @ u - rhs)
+        if residual > MEMBERSHIP_TOL * max(1.0, np.linalg.norm(rhs)):
+            raise NotInAffineHull(f"projection residual {residual:.3e} exceeds"
+                                  f" tolerance {MEMBERSHIP_TOL:.0e}")
     else:
         if point.shape != (pm.dim,):
             raise ValueError(f"coordinates have shape {point.shape}, chart dim {pm.dim}")
@@ -300,7 +297,7 @@ def polytope_membership(
         bary = np.empty(pm.n_vertices)
         bary[0] = 1.0 - float(np.sum(u))
         bary[1:] = u
-        inside = bool(bary.min() >= -tol)
+        inside = bool(bary.min() >= -MEMBERSHIP_TOL)
         weights = None
         if inside:
             clipped = np.clip(bary, 0.0, None)
@@ -317,7 +314,7 @@ def polytope_membership(
     system = np.vstack([vertex_coordinates(pm).T, np.ones(pm.n_vertices)])
     rhs = np.concatenate([u, [1.0]])
     solution, residual = nnls(system, rhs)
-    inside = bool(residual <= tol)
+    inside = bool(residual <= MEMBERSHIP_TOL)
     weights = None
     if inside:
         total = solution.sum()
@@ -347,7 +344,6 @@ class CenterPathResult:
 def center_path(
     thetas: Sequence[tuple[float, ParameterVector]],
     m: InteractionModel,
-    warm_start: bool = True,
 ) -> CenterPathResult:
     """Analytic centers along a parameter family, warm-starting each Newton run.
 
@@ -358,26 +354,15 @@ def center_path(
         raise ValueError("empty parameter grid")
     rows = []
     first_exit = None
-    prev_u = None
-    prev_dirs = None
+    prev_u, prev_dirs = None, None
     for param, theta in thetas:
         pm = polytope_vertices(theta, m)
         sl = lmi_slice(pm)
-        start = None
-        if (
-            warm_start
-            and prev_u is not None
-            and prev_dirs == pm.direction_settings
-            and _is_pd(sl.matrix(prev_u))
-        ):
-            start = prev_u
-        result = analytic_center(sl, start=start, polytope=pm)
+        # prev_dirs is None, and so never equal, after a run that did not converge
+        warm = prev_dirs == pm.direction_settings and _is_pd(sl.matrix(prev_u))
+        result = analytic_center(sl, start=prev_u if warm else None, polytope=pm)
         rows.append(CenterPathRow(param=param, result=result, lmi=sl))
-        if (
-            first_exit is None
-            and result.inside_polytope is not None
-            and not result.inside_polytope
-        ):
+        if first_exit is None and result.inside_polytope is False:
             first_exit = param
         if result.status is CenterStatus.CONVERGED:
             prev_u, prev_dirs = result.coordinates, pm.direction_settings

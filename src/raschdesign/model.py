@@ -17,6 +17,7 @@ unit lower triangular and fixes the column convention used throughout.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -27,6 +28,8 @@ from .exceptions import InputFormatError, ModelSizeError
 
 #: Hard ceiling for full enumeration of {0,1}^k.
 MAX_ENUMERABLE_RULES = 20
+#: Largest log intensity whose exponential is a finite float (about 709.78).
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def choose(n: int, r: int) -> int:
@@ -385,12 +388,22 @@ def intensities(theta: ParameterVector, m: InteractionModel) -> np.ndarray:
     """Intensity at every setting, indexed by setting bitmask.
 
     The log intensity at x is the sum of beta_A over the subsets A of x,
-    so it is the zeta transform of beta placed on the 2^k lattice.
+    so it is the zeta transform of beta placed on the 2^k lattice.  A log
+    intensity above log(float max) raises ``ValueError`` naming its
+    setting, since every matrix built from it would hold infs or NaNs.
     """
     _check_model(theta, m)
     lattice = np.zeros(1 << m.k)
     lattice[list(m.masks)] = theta.values
-    return np.exp(_zeta(lattice))
+    logs = _zeta(lattice)
+    if logs.max() > _LOG_MAX:
+        x = int(logs.argmax())
+        raise ValueError(
+            f"intensity overflows at setting {setting_string(x, m.k)}: log intensity "
+            f"{logs[x]:.12g} exceeds log(float max) = {_LOG_MAX:.12g}, so the "
+            "information would hold infs or NaNs"
+        )
+    return np.exp(logs)
 
 
 def fisher_information(

@@ -27,6 +27,13 @@ certificates for cross-checking:
   designs through the inverse of the support's regression matrix and the
   support intensities, without ever forming M.
 
+Both verdicts, ``is_corner_optimal_by_theorem`` (bound 1) and
+``kw_certificate`` (bound p), come from one rule at a fixed tolerance,
+``THEOREM_TOL`` and ``KW_TOL``: a value above bound (1 + tol) is violated,
+and the verdict is on the boundary when the largest value is within
+bound * tol of the bound.  The slice and the probe use ``THEOREM_TOL`` too.
+No function takes a tolerance argument; each reads its constant when it runs.
+
 On the exchangeable d = 2 slice (mu_i = s, mu_ij = t) every C with
 |C| = c has the same left-hand side,
 LHS_c = s^(c-1) t^(P-1) (C(c-1,2)^2 s t + c (c-2)^2 t + P s), P = C(c,2).
@@ -122,13 +129,12 @@ class OptimalityVerdict:
 
     ``max_directional_value`` is the largest left-hand side (bound 1 for
     the inequality system, bound p for sensitivity checks).  ``boundary``
-    marks verdicts within tolerance of equality.
+    marks a maximum within bound * tol of the bound.
     """
 
     optimal: bool
     max_directional_value: float
     bound: float
-    tolerance: float
     worst_setting: tuple[int, ...]
     violated_labels: tuple[tuple[int, ...], ...]
     boundary: bool
@@ -243,31 +249,41 @@ def corner_lhs(
 
 
 def is_corner_optimal_by_theorem(
-    theta: ParameterVector, m: InteractionModel, tol: float = THEOREM_TOL
+    theta: ParameterVector, m: InteractionModel
 ) -> OptimalityVerdict:
-    """Check every corner inequality; optimal iff all LHS <= 1 + tol."""
-    return _theorem_verdict(*corner_lhs(theta, m), m.k, tol)
+    """Check every corner inequality; optimal iff all LHS <= 1 + THEOREM_TOL."""
+    return _theorem_verdict(corner_lhs(theta, m)[1], m)
 
 
-def _theorem_verdict(
-    labels: Sequence[tuple[int, ...]], values: np.ndarray, k: int,
-    tol: float = THEOREM_TOL,
+def _theorem_verdict(values: np.ndarray, m: InteractionModel) -> OptimalityVerdict:
+    """Verdict of the system from its ``corner_lhs`` values."""
+    return _verdict(values, _corner_index(m.k, m.d)[1], 1.0, THEOREM_TOL, m.k)
+
+
+def _verdict(
+    values: np.ndarray, masks: Sequence[int], bound: float, tol: float, k: int
 ) -> OptimalityVerdict:
-    """Verdict of the system from its ``corner_lhs`` labels and values."""
-    best = -math.inf
-    worst: tuple[int, ...] = ()
+    """The one optimality rule of both certificates.
+
+    ``values[i]`` belongs to the set or setting ``masks[i]``; a ``range``
+    serves for settings indexed by mask, at no memory cost.  A value is
+    violated when it exceeds bound (1 + tol); the verdict is on the
+    boundary when the largest value is within bound * tol of the bound.
+    An empty system (k = d) is optimal, with maximum -inf at setting 0.
+    """
+    best, worst = -math.inf, 0
     if values.size:
         i = int(np.argmax(values))
-        best, worst = float(values[i]), labels[i]
-    violated = tuple(labels[i] for i in np.flatnonzero(values > 1.0 + tol))
+        best, worst = float(values[i]), int(masks[i])
+    over = np.flatnonzero(values > bound * (1.0 + tol))
+    violated = tuple(mask_subset(int(masks[i])) for i in over)
     return OptimalityVerdict(
         optimal=not violated,
         max_directional_value=best,
-        bound=1.0,
-        tolerance=tol,
-        worst_setting=setting_bits(subset_mask(worst), k),
+        bound=bound,
+        worst_setting=setting_bits(worst, k),
         violated_labels=violated,
-        boundary=abs(best - 1.0) <= tol,
+        boundary=abs(best - bound) <= bound * tol,
     )
 
 
@@ -286,22 +302,11 @@ def sensitivities(
 
 
 def kw_certificate(
-    w: Design, theta: ParameterVector, m: InteractionModel, tol: float = KW_TOL
+    w: Design, theta: ParameterVector, m: InteractionModel
 ) -> OptimalityVerdict:
-    """Equivalence-theorem check: optimal iff max_x d(x) <= p (1 + tol)."""
+    """Equivalence-theorem check: optimal iff max_x d(x) <= p (1 + KW_TOL)."""
     d = sensitivities(w, theta, m)
-    p = float(m.p)
-    worst = int(np.argmax(d))
-    bad = np.nonzero(d > p * (1.0 + tol))[0]
-    return OptimalityVerdict(
-        optimal=bad.size == 0,
-        max_directional_value=float(d[worst]),
-        bound=p,
-        tolerance=tol,
-        worst_setting=setting_bits(worst, m.k),
-        violated_labels=tuple(mask_subset(int(x)) for x in bad),
-        boundary=abs(float(d[worst]) - p) <= p * tol,
-    )
+    return _verdict(d, range(d.size), float(m.p), KW_TOL, m.k)
 
 
 def saturated_kw_values(
@@ -441,20 +446,18 @@ def _slice_values(
         return (lead * (st * t) + single * (base * t) + pair * st).T
 
 
-def _slice_verdicts(
-    values: np.ndarray, k: int, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _slice_verdicts(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """``binding_c`` and verdict code of every column of c-major slice values.
 
     ``values`` is ``_slice_values(...).T``, one column per point.  The rule
     of ``SliceRow``: outside the region the smallest violated c, otherwise
     the argmax; the verdict is "boundary" when the maximum is at least
-    1 - tol.
+    1 - THEOREM_TOL.
     """
-    violated = values > 1.0 + tol
+    violated = values > 1.0 + THEOREM_TOL
     outside = violated.any(axis=0)
     column = np.where(outside, violated.argmax(axis=0), values.argmax(axis=0))
-    near = values.max(axis=0) >= 1.0 - tol
+    near = values.max(axis=0) >= 1.0 - THEOREM_TOL
     return _slice_coefficients(k)[0][column], np.where(outside, 2, near)
 
 
@@ -462,7 +465,6 @@ def _slice_grid(
     m: InteractionModel,
     s_values: Sequence[float],
     t_values: Sequence[float],
-    tol: float = THEOREM_TOL,
 ) -> Iterator[tuple[np.ndarray, ...]]:
     """Check a rectangular grid, then evaluate it block by block.
 
@@ -485,7 +487,7 @@ def _slice_grid(
             index = np.arange(start, min(start + _BLOCK, n_points))
             ss, tt = s_values[index // t_values.size], t_values[index % t_values.size]
             values = _slice_values(m, ss, tt).T
-            yield (ss, tt, values, *_slice_verdicts(values, m.k, tol))
+            yield (ss, tt, values, *_slice_verdicts(values, m.k))
 
     return blocks()
 
@@ -510,14 +512,13 @@ def region_slice(
     m: InteractionModel,
     s_values: Sequence[float],
     t_values: Sequence[float],
-    tol: float = THEOREM_TOL,
 ) -> list[SliceRow]:
     """Evaluate the symmetric slice on a rectangular grid.
 
     Rows are ordered s-major then t, matching the grid index order.
     """
     rows: list[SliceRow] = []
-    for ss, tt, values, binding, verdict in _slice_grid(m, s_values, t_values, tol):
+    for ss, tt, values, binding, verdict in _slice_grid(m, s_values, t_values):
         rows.extend(map(
             SliceRow, ss.tolist(), tt.tolist(), zip(*values.tolist()),
             binding.tolist(), map(_VERDICTS.__getitem__, verdict.tolist()),
@@ -570,7 +571,6 @@ def redundancy_probe(
     t_range: tuple[float, float],
     n_samples: int,
     seed: int,
-    tol: float = THEOREM_TOL,
 ) -> ProbeReport:
     """Seeded uniform sampling of the symmetric slice for non-redundancy.
 
@@ -602,7 +602,7 @@ def redundancy_probe(
         size = min(_BLOCK, n_samples - start)
         ss = s_rng.uniform(s_range[0], s_range[1], size=size)
         tt = t_rng.uniform(t_range[0], t_range[1], size=size)
-        violated = _slice_values(m, ss, tt).T > 1.0 + tol
+        violated = _slice_values(m, ss, tt).T > 1.0 + THEOREM_TOL
         unique = violated & (np.count_nonzero(violated, axis=0) == 1)
         found = np.count_nonzero(unique, axis=1)
         n_violated += np.count_nonzero(violated, axis=1)

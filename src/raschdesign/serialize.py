@@ -23,6 +23,11 @@ from .exceptions import InputFormatError
 from .model import Design, InteractionModel, ParameterVector
 
 
+def write_json(path, payload) -> None:
+    """Write indented JSON; a non-finite number raises instead of being written."""
+    Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+
+
 def _load_json(path) -> dict:
     try:
         with open(path) as fh:
@@ -51,8 +56,7 @@ def load_parameters(path) -> ParameterVector:
 
 
 def save_parameters(theta: ParameterVector, path) -> None:
-    payload = {"k": theta.model.k, "d": theta.model.d, "beta": theta.as_dict()}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    write_json(path, {"k": theta.model.k, "d": theta.model.d, "beta": theta.as_dict()})
 
 
 def load_design(path, k: int | None = None) -> Design:
@@ -72,5 +76,4 @@ def load_design(path, k: int | None = None) -> Design:
 
 
 def save_design(design: Design, path) -> None:
-    payload = {"k": design.k, "weights": design.as_dict()}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    write_json(path, {"k": design.k, "weights": design.as_dict()})

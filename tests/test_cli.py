@@ -171,6 +171,36 @@ def test_unwritable_output_exit_2_before_work(runner, tmp_path, command, option,
     assert {p.name for p in tmp_path.iterdir()} <= {"folder"}
 
 
+#: A command per route to an intensity beyond the float range (e^800).
+#: ``{params}`` is {"k": 2, "d": 1, "beta": {"2": 800}}; ``{design}`` the corner design.
+OVERFLOW_RUNS = {
+    "compare": ["--params", "{params}", "--echo"],
+    "symmetry": ["--k", "2", "--d", "1", "--beta", '{"1": 800}', "--element", "perm=2,1",
+                 "--design", "{design}"],
+    "center-path": ["--k", "2", "--d", "1", "--lambdas", "1e200", "--out", "path.csv"],
+    "certify": ["--params", "{params}"],
+    "optimize": ["--params", "{params}", "--out", "design.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OVERFLOW_RUNS))
+def test_overflowing_intensity_exit_1(fresh_python, tmp_path, command):
+    # a fresh process, so a numpy RuntimeWarning would reach its stderr
+    params = tmp_path / "overflow.json"
+    params.write_text(json.dumps({"k": 2, "d": 1, "beta": {"2": 800}}))
+    design = tmp_path / "corner.json"
+    design.write_text(json.dumps({"k": 2, "weights": {"00": 1 / 3, "10": 1 / 3,
+                                                      "01": 1 / 3}}))
+    argv = [arg.replace("{params}", str(params)).replace("{design}", str(design))
+            for arg in OVERFLOW_RUNS[command]]
+    proc = fresh_python("-m", "raschdesign.cli", command, *argv, cwd=tmp_path)
+    output = proc.stdout + proc.stderr
+    assert proc.returncode == 1, output
+    assert "Error: intensity overflows at setting" in proc.stderr
+    assert "nan" not in output and "RuntimeWarning" not in output
+    assert "Traceback" not in output
+
+
 @pytest.mark.parametrize("argv", [
     ["optimize", "--k", "2", "--d", "1", "--max-iterations", "0"],
     ["optimize", "--k", "2", "--d", "1", "--kw-tolerance", "0"],

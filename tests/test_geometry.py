@@ -358,10 +358,11 @@ class TestCenterPath:
         m = rd.InteractionModel(2, 1)
         grid = [1.0, 0.8, 0.5, 0.4]
         pairs = [(lam, rd.ParameterVector.symmetric(m, lam)) for lam in grid]
-        warm = rd.center_path(pairs, m, warm_start=True)
-        cold = rd.center_path(pairs, m, warm_start=False)
-        for a, b in zip(warm.rows, cold.rows):
-            assert_allclose(a.result.coordinates, b.result.coordinates, atol=1e-6)
+        warm = rd.center_path(pairs, m)
+        for row, (_, theta) in zip(warm.rows, pairs):
+            pm = rd.polytope_vertices(theta, m)
+            cold = rd.analytic_center(rd.lmi_slice(pm), polytope=pm)
+            assert_allclose(row.result.coordinates, cold.coordinates, atol=1e-6)
 
     def test_rows_carry_their_slice(self):
         m = rd.InteractionModel(3, 1)

@@ -1,6 +1,7 @@
 """Model core: subset index, regression, intensities, exact combinatorics."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -140,6 +141,16 @@ class TestIntensity:
             theta = rd.ParameterVector(m, rng.normal(size=3))
             lam = rd.intensities(theta, m)
             assert_allclose(lam[0] * lam[3], lam[1] * lam[2], rtol=1e-12)
+
+    def test_overflow_raises_naming_its_setting(self):
+        m = rd.InteractionModel(2, 1)
+        limit = math.log(sys.float_info.max)
+        at_limit = rd.intensities(rd.ParameterVector(m, [0.0, 0.0, limit]), m)
+        assert np.isfinite(at_limit).all()
+        beyond = rd.ParameterVector(m, [0.0, 400.0, 400.0])
+        with pytest.raises(ValueError, match=r"setting 11: log intensity 800 exceeds"
+                                             r" log\(float max\).* infs or NaNs"):
+            rd.intensities(beyond, m)
 
 
 class TestFisherInformation:

@@ -57,7 +57,6 @@ class TestOptimizeDesign:
         assert_allclose(result.final_kw_max, 3.0, rtol=1e-6)
         assert rd.kw_certificate(result.design, theta, m).optimal
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_information_raises(self):
         m = rd.InteractionModel(2, 1)
         theta = rd.ParameterVector(m, [0.0, 800.0, 0.0])

@@ -1,6 +1,8 @@
 """The package namespace: its exports, resolved on first access."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -105,3 +107,11 @@ def test_missing_numpy_is_a_module_not_found_error(fresh_python):
     out = fresh_python("-c", code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "numpy"
+
+
+def test_readme_library_example_runs(fresh_python):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "False ((1, 2, 3, 4),)"

@@ -315,10 +315,8 @@ class TestKwCertificate:
             d1 = rd.sensitivities(w, rd.ParameterVector(m, shifted), m)
             assert np.max(np.abs(d0 - d1)) <= 1e-10
 
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_information_raises(self):
-        # e^800 overflows, so M holds infs; no NaN verdict may come out
+        # e^800 overflows, so M would hold infs; no NaN verdict may come out
         m = rd.InteractionModel(2, 1)
         theta = rd.ParameterVector(m, [0.0, 800.0, 0.0])
         w = rd.corner_design(m)
@@ -607,11 +605,13 @@ class TestBlockedSliceKernel:
     T_GRID = np.linspace(0.6, 1.3, 61)
 
     @pytest.mark.parametrize("tol", [regions.THEOREM_TOL, 0.05])
-    def test_region_slice_matches_reference_and_rule(self, tol):
+    def test_region_slice_matches_reference_and_rule(self, tol, monkeypatch):
         n = self.S_GRID.size * self.T_GRID.size
         assert n > 2 * regions._BLOCK and n % regions._BLOCK
         m = rd.InteractionModel(12, 2)
-        rows = rd.region_slice(m, self.S_GRID, self.T_GRID, tol=tol)
+        # the tolerance is read when the slice runs, so a wide one reaches "boundary"
+        monkeypatch.setattr(regions, "THEOREM_TOL", tol)
+        rows = rd.region_slice(m, self.S_GRID, self.T_GRID)
         points = [(s, t) for s in self.S_GRID.tolist() for t in self.T_GRID.tolist()]
         assert [(r.s, r.t) for r in rows] == points
         for row in rows:
