@@ -1,0 +1,86 @@
+"""Transforms on the 2^k subset lattice, shared by ``model``, ``regions`` and
+``optimizer``.
+
+An array over the lattice has a last axis of length 2^k indexed by
+bitmask (bit ``i-1`` holds rule ``i``).  This module owns the subset-sum
+(zeta) transform in linear and in log space, and the two cached index
+tables that read the lattice in a model's subset order: the masks A|B of
+the information matrix and the sets C of the corner inequality system.
+Like every module of the package, it runs no numpy code at import.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import lru_cache
+from itertools import combinations
+
+from ._numpy import np
+
+
+def _passes(r: np.ndarray, add) -> np.ndarray:
+    """k in-place passes of ``add`` over the last axis: pass i folds every
+    entry without bit i into its partner with bit i (Yates 1937)."""
+    half = 1
+    while half < r.shape[-1]:
+        view = r.reshape(r.shape[:-1] + (-1, 2, half))
+        add(view[..., 1, :], view[..., 0, :], out=view[..., 1, :])
+        half *= 2
+    return r
+
+
+def zeta(r: np.ndarray) -> np.ndarray:
+    """Subset-sum transform over the last axis of C-contiguous ``r``, in place.
+
+    Afterwards ``r[..., C]`` holds the sum of the old ``r[..., B]`` over all
+    subsets B of C, at k 2^(k-1) additions per row.  Returns ``r``.
+    """
+    return _passes(r, np.add)
+
+
+def log_zeta(r: np.ndarray) -> np.ndarray:
+    """``zeta`` in log space, in place: afterwards ``r[..., C]`` holds
+    log sum of exp(old ``r[..., B]``) over the subsets B of C.
+
+    Empty cells hold -inf, and a cell with no nonempty subset stays -inf;
+    ``logaddexp`` never under- or overflows, so no sum is shifted by hand.
+    Returns ``r``.
+    """
+    return _passes(r, np.logaddexp)
+
+
+@lru_cache(maxsize=8)
+def union_index(m) -> np.ndarray:
+    """p x p masks A|B over pairs of the parameter subsets of model ``m``;
+    cached, so read-only."""
+    masks = np.asarray(m.masks, dtype=np.intp)
+    index = masks[:, None] | masks[None, :]
+    index.setflags(write=False)
+    return index
+
+
+@lru_cache(maxsize=8)
+def corner_index(m):
+    """Labels, masks and coefficients of the corner system of model ``m``.
+
+    The labels are the sets C with |C| > d, in (|C|, lexicographic) order.
+    ``coeffs[j, i]`` is C(|C|-j-1, d-j)^2 for the i-th set C, the
+    coefficient shared by every term whose omitted subset has size j.
+    """
+    k, d = m.k, m.d
+    labels = tuple(
+        c for size in range(d + 1, k + 1) for c in combinations(range(1, k + 1), size)
+    )
+    masks = np.fromiter((sum(1 << (i - 1) for i in c) for c in labels),
+                        dtype=np.intp, count=len(labels))
+    sizes = np.array([len(c) for c in labels], dtype=np.intp)
+    table = np.array(
+        [[math.comb(c - j - 1, d - j) ** 2 for c in range(d + 1, k + 1)]
+         for j in range(d + 1)],
+        dtype=float,
+    )
+    coeffs = table[:, sizes - (d + 1)]
+    # the cache hands these arrays to every caller
+    masks.setflags(write=False)
+    coeffs.setflags(write=False)
+    return labels, masks, coeffs

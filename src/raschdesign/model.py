@@ -12,6 +12,12 @@ over the active subsets ``A`` of the setting.
 The subset index is ordered by (cardinality, lexicographic), starting with
 the empty set.  This order makes the model matrix of the corner support
 unit lower triangular and fixes the column convention used throughout.
+
+``intensities``, ``intensity`` and ``fisher_information`` keep the absolute
+scale, base parameter included.  ``_information`` and ``_sensitivities``
+build M and the sensitivities from zeta transforms of ``_lattice``; the
+optimality answers built on them read the base parameter as 0
+(``ParameterVector.with_base_zero``).
 """
 
 from __future__ import annotations
@@ -19,10 +25,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping
 
+from ._lattice import union_index, zeta
 from ._numpy import np
 from .exceptions import InputFormatError, ModelSizeError
 
@@ -246,7 +252,15 @@ class ParameterVector:
         return self.values[0] == 0.0
 
     def with_base_zero(self) -> "ParameterVector":
-        """Copy with the base parameter reset to 0 (global intensity rescale)."""
+        """Copy with the base parameter reset to 0 (global intensity rescale).
+
+        This is where the rule "beta of the empty set is a common scale"
+        lives.  e^beta_empty multiplies every intensity, so it scales M(w)
+        by one factor and moves no D-optimality answer.  The corner system,
+        both certificates and the optimizer read the parameters through
+        this copy, so their answers have the same bits at every base
+        parameter and no base parameter can overflow them.
+        """
         vals = np.array(self.values)
         vals[0] = 0.0
         return ParameterVector(self.model, vals)
@@ -362,26 +376,22 @@ def intensity(x, theta: ParameterVector, m: InteractionModel) -> float:
     """Poisson intensity at a setting: product of mu_A over active subsets.
 
     Evaluated as ``exp(sum of beta_A)``; products of small mu values are
-    never formed directly.
+    never formed directly.  Overflow raises the ``ValueError`` of
+    ``intensities``.
     """
-    return math.exp(log_intensity(x, theta, m))
+    log = log_intensity(x, theta, m)
+    if log > _LOG_MAX:
+        raise _overflow(setting_mask(x, m.k), log, m.k)
+    return math.exp(log)
 
 
-def _zeta(r: np.ndarray) -> np.ndarray:
-    """Subset-sum (zeta) transform over the last axis, in place.
-
-    The last axis of the C-contiguous array ``r`` has length 2^k and is
-    indexed by bitmask; afterwards ``r[..., C]`` holds the sum of the old
-    ``r[..., B]`` over all subsets B of C.  Pass i adds every entry
-    without bit i into its partner with bit i (Yates 1937), so the cost is
-    k 2^(k-1) additions per row.  Returns ``r``.
-    """
-    half = 1
-    while half < r.shape[-1]:
-        view = r.reshape(r.shape[:-1] + (-1, 2, half))
-        view[..., 1, :] += view[..., 0, :]
-        half *= 2
-    return r
+def _overflow(x: int, log: float, k: int) -> ValueError:
+    """The error of a log intensity ``log`` above log(float max) at setting x."""
+    return ValueError(
+        f"intensity overflows at setting {setting_string(x, k)}: log intensity "
+        f"{log:.12g} exceeds log(float max) = {_LOG_MAX:.12g}, so the "
+        "information would hold infs or NaNs"
+    )
 
 
 def intensities(theta: ParameterVector, m: InteractionModel) -> np.ndarray:
@@ -395,14 +405,10 @@ def intensities(theta: ParameterVector, m: InteractionModel) -> np.ndarray:
     _check_model(theta, m)
     lattice = np.zeros(1 << m.k)
     lattice[list(m.masks)] = theta.values
-    logs = _zeta(lattice)
+    logs = zeta(lattice)
     if logs.max() > _LOG_MAX:
         x = int(logs.argmax())
-        raise ValueError(
-            f"intensity overflows at setting {setting_string(x, m.k)}: log intensity "
-            f"{logs[x]:.12g} exceeds log(float max) = {_LOG_MAX:.12g}, so the "
-            "information would hold infs or NaNs"
-        )
+        raise _overflow(x, float(logs[x]), m.k)
     return np.exp(logs)
 
 
@@ -418,19 +424,10 @@ def fisher_information(
     return _information(wl, m)
 
 
-@lru_cache(maxsize=8)
-def _union_index(k: int, d: int) -> np.ndarray:
-    """p x p masks A|B over pairs of parameter subsets; cached, so read-only."""
-    masks = np.asarray(InteractionModel(k, d).masks, dtype=np.intp)
-    index = masks[:, None] | masks[None, :]
-    index.setflags(write=False)
-    return index
-
-
 def _information(wl: np.ndarray, m: InteractionModel) -> np.ndarray:
     """sum_x wl[x] f(x) f(x)^T.  M_AB sums ``wl`` (weight times intensity, by
     mask) over the supersets of A|B: a zeta transform of the reversed ``wl``."""
-    return _zeta(wl[::-1].copy())[((1 << m.k) - 1) ^ _union_index(m.k, m.d)]
+    return zeta(wl[::-1].copy())[((1 << m.k) - 1) ^ union_index(m)]
 
 
 def _sensitivities(
@@ -441,8 +438,8 @@ def _sensitivities(
     A|B inside x."""
     inv = np.linalg.inv(low)
     minv = inv.T @ inv
-    g = np.bincount(_union_index(m.k, m.d).ravel(), minv.ravel(), 1 << m.k)
-    return minv, lam * _zeta(g)
+    g = np.bincount(union_index(m).ravel(), minv.ravel(), 1 << m.k)
+    return minv, lam * zeta(g)
 
 
 def model_matrix(m: InteractionModel) -> np.ndarray:

@@ -59,6 +59,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
+from ._lattice import zeta
 from ._numpy import np
 from .exceptions import (
     MonotonicityError,
@@ -73,7 +74,6 @@ from .model import (
     _cholesky,
     _information,
     _sensitivities,
-    _zeta,
     intensities,
 )
 from .regions import KW_TOL
@@ -189,7 +189,7 @@ def _exchange(
     for vec, scale in ((z_j, 1.0 / c_jj), (y, c_jj / det_c)):
         lattice.fill(0.0)
         lattice[masks] = vec
-        _zeta(lattice)
+        zeta(lattice)
         lattice *= lattice
         lattice *= scale
         update += lattice
@@ -237,11 +237,16 @@ def optimize_design(
     decreases across exchange and multiplicative steps (a
     broken-sensitivity symptom).  A run that exhausts ``max_iterations``
     returns the last iterate with ``converged=False``.
+
+    The ascent runs at base parameter 0 (``ParameterVector.with_base_zero``),
+    so the weights and iterations have the same bits at every base
+    parameter; ``log_det`` and ``log_det_trace`` add p beta_empty back and
+    stay the log det of M(w) at ``theta``.
     """
     cfg = cfg or OptimizerConfig()
     n = 1 << m.k
     p = float(m.p)
-    lam = intensities(theta, m)
+    lam = intensities(theta.with_base_zero(), m)
     masks = np.asarray(m.masks, dtype=np.intp)
 
     w = np.zeros(n)
@@ -331,14 +336,16 @@ def optimize_design(
 
     design = Design(m.k, {int(x): float(w[x]) for x in np.nonzero(w)[0]})
     support_size = len(design.support)
+    # M(w) at the base parameter is e^beta_empty times the M(w) iterated on
+    scale = m.p * float(theta.values[0])
     return OptimizerResult(
         design=design,
         iterations=iterations,
         final_kw_max=kw_max,
-        log_det=log_det,
+        log_det=log_det + scale,
         structure=classify_structure(design, m, tol=10 * cfg.kw_tolerance),
         converged=converged,
-        log_det_trace=np.asarray(trace),
+        log_det_trace=np.asarray(trace) + scale,
         prune_iterations=tuple(prunes),
         support_size=support_size,
         caratheodory_ok=support_size <= caratheodory_bound(m),

@@ -14,9 +14,11 @@ evaluates one inequality; that symbolic form is the reference.
 ``corner_lhs`` computes every left-hand side at once: with
 S(C) = sum of beta_A over A in C, |A| <= d, and
 Z_j(C) = sum of e^{-beta_B} over B in C, |B| = j, the left-hand side of C
-is sum_j C(|C|-j-1, d-j)^2 e^{S(C)} Z_j(C), and S and Z_0..Z_d are d + 2
-subset-sum (zeta) transforms over the 2^k bitmasks.  The cost is
-O((d+1) k 2^k) instead of one Python loop over every term of every C.
+is sum_j C(|C|-j-1, d-j)^2 exp(S(C) + log Z_j(C)).  S is a zeta transform
+and log Z_0..log Z_d are log-space zeta transforms over the 2^k bitmasks
+(``_lattice``), so every set takes one path whatever the span of beta.
+The cost is O((d+1) k 2^k) instead of one Python loop over every term of
+every C.  Both forms read the system at base intensity mu_{} = 1.
 The module also provides two deliberately independent D-optimality
 certificates for cross-checking:
 
@@ -40,13 +42,16 @@ LHS_c = s^(c-1) t^(P-1) (C(c-1,2)^2 s t + c (c-2)^2 t + P s), P = C(c,2).
 ``symmetric_slice`` sums its three terms with ``fsum`` at one point and is
 the reference.  ``_slice_values`` is the one array kernel, with a single
 exp per entry; ``region_slice``, the CLI's region-slice writer and
-``redundancy_probe`` run it over blocks of ``_BLOCK`` points, so their
-temporaries stay at a few hundred KB whatever the grid or sample count;
-the probe draws its samples block by block as well, so its memory does
-not grow with the sample count.
+``redundancy_probe`` run it over blocks of ``_BLOCK`` points, writing into
+scratch they allocate once, so their arrays stay at a few hundred KB
+whatever the grid or sample count; the probe draws its samples block by
+block as well, so its memory does not grow with the sample count.
 
-For d = 1 (with base parameter 0) the inequality system and the
-certificates agree point by point.  For d >= 2 the system's product
+The base parameter beta_{} scales every intensity by one factor, which
+moves no D-optimality answer, so the sensitivities and both certificates
+read it as 0 (``ParameterVector.with_base_zero``), as the system does.
+For d = 1 the inequality system and the certificates then agree point by
+point, at every base parameter.  For d >= 2 the system's product
 condition "A != B" differs from the condition "A not a subset of B" that
 the direct saturated computation yields; both readings are kept and can
 be compared with the ``compare`` command of ``raschdesign.cli``.
@@ -60,6 +65,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
+from ._lattice import corner_index, log_zeta, zeta
 from ._numpy import np
 from .exceptions import NotSaturated, SingularInformation, SingularSupport
 from .model import (
@@ -69,7 +75,6 @@ from .model import (
     _check_model,
     _cholesky,
     _sensitivities,
-    _zeta,
     choose,
     fisher_information,
     intensities,
@@ -154,7 +159,7 @@ def corner_inequalities(m: InteractionModel) -> list[MonomialInequality]:
     Entries are ordered by (|C|, lexicographic), giving
     sum_{c=d+1}^{k} C(k, c) inequalities.
     """
-    return [_inequality(c, m.d) for c in _corner_index(m.k, m.d)[0]]
+    return [_inequality(c, m.d) for c in corner_index(m)[0]]
 
 
 def _inequality(label: tuple[int, ...], d: int) -> MonomialInequality:
@@ -168,39 +173,16 @@ def _inequality(label: tuple[int, ...], d: int) -> MonomialInequality:
     return MonomialInequality(label, tuple(support_all), coeffs)
 
 
-@lru_cache(maxsize=8)
-def _corner_index(k: int, d: int):
-    """Labels, masks and coefficients of the system, in (|C|, lex) order.
-
-    ``coeffs[j, i]`` is C(|C|-j-1, d-j)^2 for the i-th set C, the
-    coefficient shared by every term whose omitted subset has size j.
-    """
-    labels = tuple(
-        c for size in range(d + 1, k + 1) for c in combinations(range(1, k + 1), size)
-    )
-    masks = np.fromiter((subset_mask(c) for c in labels), dtype=np.intp,
-                        count=len(labels))
-    sizes = np.array([len(c) for c in labels], dtype=np.intp)
-    table = np.array(
-        [[choose(c - j - 1, d - j) ** 2 for c in range(k + 1)] for j in range(d + 1)],
-        dtype=float,
-    )
-    coeffs = table[:, sizes]
-    # the cache hands these arrays to every caller
-    masks.setflags(write=False)
-    coeffs.setflags(write=False)
-    return labels, masks, coeffs
-
-
 def evaluate_inequality(q: MonomialInequality, theta: ParameterVector) -> float:
-    """Left-hand side value at the given parameters.
+    """Left-hand side value at the given parameters, with mu of the empty set 1.
 
     Each term is evaluated as coeff * exp(sum of beta over its support);
-    the shared exponent sum is accumulated once in log space.
+    the shared exponent sum is accumulated once in log space.  The base
+    parameter is read as 0 (``ParameterVector.with_base_zero``).
     """
     m = theta.model
     pos = [m.position(subset_mask(a)) for a in q.support_all]
-    betas = theta.values[pos]
+    betas = theta.with_base_zero().values[pos]
     total = float(np.sum(betas))
     return math.fsum(
         coeff * _exp(total - float(b))
@@ -213,39 +195,28 @@ def corner_lhs(
 ) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     """Left-hand side of every corner inequality, from subset-sum transforms.
 
-    Returns ``(labels, values)`` in ``corner_inequalities`` order.  With
+    Returns ``(labels, values)`` in ``corner_inequalities`` order, read at
+    mu of the empty set 1, as ``evaluate_inequality`` reads them.  With
     S(C) the sum of beta_A over A in C, |A| <= d, the inequality of C is
 
-        sum_j C(|C|-j-1, d-j)^2 * e^{S(C)} * Z_j(C),
-        Z_j(C) = sum over B in C, |B| = j of e^{-beta_B},
+        sum_j C(|C|-j-1, d-j)^2 * exp(S(C) + log Z_j(C)),
+        Z_j(C) = sum over B in C, |B| = j of e^{-beta_B}.
 
-    and S and every Z_j are zeta transforms on the 2^k lattice.  Z_j is
-    summed with the shift s_j = max_{|B|=j} (-beta_B), so no term exceeds
-    1 and each term is e^{S + s_j + log Z_j}.  A set C whose shifted sum
-    has fallen below the smallest normal float (beta spanning about 700)
-    is evaluated term by term with ``evaluate_inequality`` instead.
-    Overflow gives inf, as there, and never NaN.
+    S is a zeta transform and log Z_0..log Z_d are ``log_zeta`` transforms
+    of -beta placed level by level on the 2^k lattice, so no sum under- or
+    overflows before the one exp per term.  Overflow gives inf, never NaN.
     """
     _check_model(theta, m)
-    labels, masks, coeffs = _corner_index(m.k, m.d)
-    beta = theta.values
+    labels, masks, coeffs = corner_index(m)
+    beta = theta.with_base_zero().values
     where = np.asarray(m.masks, dtype=np.intp)
-    cards = np.asarray(m.cards)
-    lattice = np.zeros((m.d + 2, 1 << m.k))
-    lattice[0, where] = beta
-    shifts = np.empty((m.d + 1, 1))
-    for j in range(m.d + 1):
-        level = cards == j
-        neg = -beta[level]
-        shifts[j] = neg.max()
-        lattice[j + 1, where[level]] = np.exp(neg - shifts[j])
-    picked = _zeta(lattice)[:, masks]
-    sums, z = picked[0], picked[1:]
-    with np.errstate(over="ignore", divide="ignore"):
-        values = (coeffs * np.exp(sums + shifts + np.log(z))).sum(axis=0)
-    for i in np.flatnonzero((z < np.finfo(float).tiny).any(axis=0)):
-        values[i] = evaluate_inequality(_inequality(labels[i], m.d), theta)
-    return labels, values
+    sums = np.zeros(1 << m.k)
+    sums[where] = beta
+    log_z = np.full((m.d + 1, 1 << m.k), -np.inf)
+    log_z[np.asarray(m.cards), where] = -beta
+    exponents = zeta(sums)[masks] + log_zeta(log_z)[:, masks]
+    with np.errstate(over="ignore"):
+        return labels, (coeffs * np.exp(exponents)).sum(axis=0)
 
 
 def is_corner_optimal_by_theorem(
@@ -257,7 +228,7 @@ def is_corner_optimal_by_theorem(
 
 def _theorem_verdict(values: np.ndarray, m: InteractionModel) -> OptimalityVerdict:
     """Verdict of the system from its ``corner_lhs`` values."""
-    return _verdict(values, _corner_index(m.k, m.d)[1], 1.0, THEOREM_TOL, m.k)
+    return _verdict(values, corner_index(m)[1], 1.0, THEOREM_TOL, m.k)
 
 
 def _verdict(
@@ -290,7 +261,11 @@ def _verdict(
 def sensitivities(
     w: Design, theta: ParameterVector, m: InteractionModel
 ) -> np.ndarray:
-    """Sensitivity d(x) = lambda(x) f(x)^T M^{-1} f(x) for every setting."""
+    """Sensitivity d(x) = lambda(x) f(x)^T M^{-1} f(x) for every setting.
+
+    Read at base parameter 0: d does not depend on it.
+    """
+    theta = theta.with_base_zero()
     try:
         low = _cholesky(fisher_information(w, theta, m))
     except np.linalg.LinAlgError as exc:
@@ -322,9 +297,10 @@ def saturated_kw_values(
     lambda(x) * sum_i v_i^2 / lambda(x_i) where v = F_w^{-T} f(x).  Values
     at support points are exactly 1 up to rounding; the design is optimal
     iff all values are <= 1.  The weights must be 1/p within a relative
-    ``UNIFORM_TOL``.
+    ``UNIFORM_TOL``.  The values are read at base parameter 0.
     """
     _check_model(theta, m)
+    theta = theta.with_base_zero()
     support = sorted(w.support)
     if len(support) != m.p:
         raise NotSaturated(
@@ -378,9 +354,10 @@ def symmetric_slice(
 #: Points per block of the slice kernel.  ``region_slice``, the CLI's
 #: region-slice writer and ``redundancy_probe`` evaluate their points this
 #: many at a time, so no temporary grows with the grid or the sample count.
-#: At k = 12 a block's arrays are 80 KB, below glibc's default 128 KiB
-#: mmap threshold; 8192-point blocks, mapped and faulted in afresh each
-#: time, made a fresh 10^6-sample probe 20% slower on a 2-core Linux host.
+#: The kernel's scratch is allocated once per run and reused by every
+#: block.  When each block allocated its own ten 80 KB temporaries (k = 12),
+#: a fresh 10^6-sample probe sometimes took 16 times the page faults and
+#: a third more time, which fits glibc trimming and regrowing the heap.
 _BLOCK = 1 << 10
 
 #: Verdict names of the slice, indexed by the codes of ``_slice_verdicts``.
@@ -425,25 +402,43 @@ def _check_slice_model(m: InteractionModel, what: str) -> None:
 
 
 def _slice_values(
-    m: InteractionModel, s: np.ndarray, t: np.ndarray
+    m: InteractionModel, s: np.ndarray, t: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Vectorized symmetric slice: rows = points, columns = c = 3..k.
 
-    The values are computed c-major, as a C-contiguous (k - 2, n) array,
-    so numpy's inner loops run over the n points; the result is its
-    transpose, a view, and ``.T`` gives the c-major array back.  One exp
-    per entry: ``s^(c-1) t^(P-1)`` times the bracket of
-    ``_slice_coefficients``.  Each term is a product of finite factors, so
-    an entry is 0 or inf where the exponent under- or overflows, never NaN.
+    The values are computed c-major, as a (k - 2, n) array, so numpy's
+    inner loops run over the n points; the result is its transpose, a
+    view, and ``.T`` gives the c-major array back.  One exp per entry:
+    ``s^(c-1) t^(P-1)`` times the bracket of ``_slice_coefficients``.
+    Each term is a product of finite factors, so an entry is 0 or inf
+    where the exponent under- or overflows, never NaN.
+
+    ``out`` is scratch of shape (3, k - 2, n') with n' >= n, which a
+    caller that runs block after block allocates once; the result is a
+    view of it, valid until the next call.  Without it the kernel
+    allocates its own, and the c-major array is C-contiguous.
     """
     _check_slice_model(m, "symmetric slice")
     _, s_pow, t_pow, lead, single, pair = _slice_coefficients(m.k)
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
+    if out is None:
+        out = np.empty((3, m.k - 2, s.size))
+    base, st, values = out[:, :, :s.size]
     with np.errstate(over="ignore", under="ignore"):
-        base = np.exp(np.log(s) * s_pow + np.log(t) * t_pow)
-        st = base * s
-        return (lead * (st * t) + single * (base * t) + pair * st).T
+        np.multiply(np.log(s), s_pow, out=base)
+        np.multiply(np.log(t), t_pow, out=values)
+        np.exp(np.add(base, values, out=base), out=base)
+        np.multiply(base, s, out=st)
+        # lead (st t) + single (base t) + pair st, summed in that order
+        np.multiply(st, t, out=values)
+        values *= lead
+        base *= t
+        base *= single
+        values += base
+        st *= pair
+        values += st
+    return values.T
 
 
 def _slice_verdicts(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -471,7 +466,8 @@ def _slice_grid(
     The checks run at once; the returned iterator yields, for ``_BLOCK``
     consecutive points in s-major order, the arrays
     ``(s, t, values, binding_c, verdict code)``, with ``values`` c-major:
-    row j holds LHS_{j+3} of every point in the block.
+    row j holds LHS_{j+3} of every point in the block.  ``values`` lives
+    in scratch that every block reuses, so it is valid until the next one.
     """
     s_values = np.asarray(list(s_values), dtype=float)
     t_values = np.asarray(list(t_values), dtype=float)
@@ -483,10 +479,11 @@ def _slice_grid(
     n_points = s_values.size * t_values.size
 
     def blocks():
+        scratch = np.empty((3, m.k - 2, min(_BLOCK, n_points)))
         for start in range(0, n_points, _BLOCK):
             index = np.arange(start, min(start + _BLOCK, n_points))
             ss, tt = s_values[index // t_values.size], t_values[index % t_values.size]
-            values = _slice_values(m, ss, tt).T
+            values = _slice_values(m, ss, tt, scratch).T
             yield (ss, tt, values, *_slice_verdicts(values, m.k))
 
     return blocks()
@@ -598,12 +595,17 @@ def redundancy_probe(
     n_violated = np.zeros(cs.size, dtype=np.intp)
     n_witness = np.zeros(cs.size, dtype=np.intp)
     witnesses: list[tuple[float, float] | None] = [None] * cs.size
+    # every block reuses the kernel's scratch and two flag arrays
+    width = min(_BLOCK, n_samples)
+    scratch = np.empty((3, cs.size, width))
+    flags = np.empty((2, cs.size, width), dtype=bool)
     for start in range(0, n_samples, _BLOCK):
         size = min(_BLOCK, n_samples - start)
         ss = s_rng.uniform(s_range[0], s_range[1], size=size)
         tt = t_rng.uniform(t_range[0], t_range[1], size=size)
-        violated = _slice_values(m, ss, tt).T > 1.0 + THEOREM_TOL
-        unique = violated & (np.count_nonzero(violated, axis=0) == 1)
+        violated, unique = flags[:, :, :size]
+        np.greater(_slice_values(m, ss, tt, scratch).T, 1.0 + THEOREM_TOL, out=violated)
+        np.bitwise_and(violated, np.count_nonzero(violated, axis=0) == 1, out=unique)
         found = np.count_nonzero(unique, axis=1)
         n_violated += np.count_nonzero(violated, axis=1)
         n_witness += found

@@ -201,6 +201,37 @@ def test_overflowing_intensity_exit_1(fresh_python, tmp_path, command):
     assert "Traceback" not in output
 
 
+#: Commands run at the (3,2) point with every other beta -0.3; ``{params}``.
+BASE_SHIFT_RUNS = {
+    "optimize": ["--params", "{params}", "--out", "design.json"],
+    "certify": ["--params", "{params}"],
+    "compare": ["--params", "{params}", "--echo"],
+    "inequalities": ["--params", "{params}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(BASE_SHIFT_RUNS))
+def test_base_parameter_moves_no_answer(fresh_python, tmp_path, command):
+    # a fresh process, so a numpy RuntimeWarning would reach its stderr
+    m = rd.InteractionModel(3, 2)
+    runs = {}
+    for base in (0.0, 720.0, -720.0):
+        folder = tmp_path / f"base{base:+g}"
+        folder.mkdir()
+        beta = {",".join(map(str, a)): (base if not a else -0.3) for a in m.subsets}
+        params = folder / "params.json"
+        params.write_text(json.dumps({"k": 3, "d": 2, "beta": beta}))
+        argv = [arg.replace("{params}", str(params)) for arg in BASE_SHIFT_RUNS[command]]
+        proc = fresh_python("-m", "raschdesign.cli", command, *argv, cwd=folder)
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stdout + proc.stderr
+        runs[base] = proc.stdout
+        if command == "optimize":
+            runs[base] = re.sub(r"log-det=\S+", "", proc.stdout)
+            runs[base] += (folder / "design.json").read_text()
+    assert runs[720.0] == runs[0.0] and runs[-720.0] == runs[0.0]
+
+
 @pytest.mark.parametrize("argv", [
     ["optimize", "--k", "2", "--d", "1", "--max-iterations", "0"],
     ["optimize", "--k", "2", "--d", "1", "--kw-tolerance", "0"],

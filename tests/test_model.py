@@ -151,6 +151,11 @@ class TestIntensity:
         with pytest.raises(ValueError, match=r"setting 11: log intensity 800 exceeds"
                                              r" log\(float max\).* infs or NaNs"):
             rd.intensities(beyond, m)
+        single = rd.ParameterVector(m, [0.0, 800.0, 0.0])
+        with pytest.raises(ValueError, match=r"setting 10: log intensity 800 exceeds"
+                                             r" log\(float max\).* infs or NaNs"):
+            rd.intensity((1, 0), single, m)
+        assert rd.intensity((0, 1), single, m) == 1.0
 
 
 class TestFisherInformation:

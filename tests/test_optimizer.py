@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import raschdesign as rd
@@ -384,3 +385,37 @@ class TestSymmetryInvariance:
                 rd.act_on_design(g, star), rd.act_on_parameters(g, theta, m), m
             )
             assert verdict.optimal == moved_verdict.optimal
+
+
+class TestBaseParameterIsAScale:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_shifting_the_base_moves_only_log_det(self, data):
+        k = data.draw(st.integers(min_value=1, max_value=6), label="k")
+        d = data.draw(st.integers(min_value=1, max_value=min(k, 3)), label="d")
+        m = rd.InteractionModel(k, d)
+        beta = np.array(data.draw(st.lists(
+            st.floats(min_value=-3.0, max_value=1.0), min_size=m.p, max_size=m.p,
+        ), label="beta"))
+        shift = data.draw(st.floats(min_value=-720.0, max_value=720.0), label="shift")
+        moved = beta.copy()
+        moved[0] += shift
+        theta, theta_moved = rd.ParameterVector(m, beta), rd.ParameterVector(m, moved)
+
+        # a small budget: both runs stop at the same iterate, converged or not
+        cfg = rd.OptimizerConfig(max_iterations=2000)
+        a, b = rd.optimize_design(theta, m, cfg), rd.optimize_design(theta_moved, m, cfg)
+        assert a.design.weights == b.design.weights
+        assert (a.iterations, a.converged, a.structure) == (b.iterations, b.converged,
+                                                            b.structure)
+        assert a.final_kw_max == b.final_kw_max
+        scale = m.p * (moved[0] - beta[0])
+        assert_allclose(b.log_det, a.log_det + scale, rtol=1e-9)
+        assert_allclose(b.log_det_trace, a.log_det_trace + scale, rtol=1e-9)
+
+        corner = rd.corner_design(m)
+        assert rd.is_corner_optimal_by_theorem(theta, m) == rd.is_corner_optimal_by_theorem(
+            theta_moved, m)
+        assert rd.kw_certificate(corner, theta, m) == rd.kw_certificate(
+            corner, theta_moved, m)
+        assert np.array_equal(rd.corner_lhs(theta, m)[1], rd.corner_lhs(theta_moved, m)[1])

@@ -185,47 +185,40 @@ class TestCornerLhs:
             _, values = rd.corner_lhs(theta, m)
             assert values.size and np.all(values < 1e-100)
 
-    @staticmethod
-    def count_fallbacks(monkeypatch):
-        calls = []
-        reference = regions.evaluate_inequality
-
-        def counted(q, theta):
-            calls.append(q.label)
-            return reference(q, theta)
-
-        monkeypatch.setattr(regions, "evaluate_inequality", counted)
-        return calls
-
-    def test_wide_span_sends_fallback(self, monkeypatch):
-        # beta spans [-400, 400]: the pair shift is 400, so the pair sum
-        # of C = {1,2,3} is 3 e^{-800}, below the smallest normal float
+    def test_wide_span_sends_fallback(self):
+        # beta spans [-400, 400]: the pair sum of C = {1,2,3} is 3 e^{-400},
+        # e^{-800} times the largest pair term, below the smallest normal float
         m = rd.InteractionModel(5, 2)
         beta = {"1": -400.0, "2": -400.0, "3": -400.0, "4,5": -400.0}
         beta.update({"1,2": 400.0, "1,3": 400.0, "2,3": 400.0})
         theta = rd.ParameterVector.from_dict(m, beta)
-        calls = self.count_fallbacks(monkeypatch)
         _, values = rd.corner_lhs(theta, m)
-        assert calls == [(1, 2, 3)]
-        monkeypatch.undo()
         _, ref_values = reference_lhs(theta, m)
         assert not np.isnan(values).any()
         assert_allclose(values, ref_values, rtol=1e-12)
 
-    def test_fallback_carries_the_dominant_terms(self, monkeypatch):
-        # beta_{4,5} = -800 sets the pair shift to 800, so the pair sum of
-        # C = {1,2,3} underflows, yet its pair terms e^{-100} dominate
+    def test_fallback_carries_the_dominant_terms(self):
+        # beta_{4,5} = -800 puts the largest pair term e^{800} far above the
+        # pair sum of C = {1,2,3}, whose pair terms e^{-100} dominate its value
         m = rd.InteractionModel(5, 2)
         theta = rd.ParameterVector.from_dict(
             m, {"4,5": -800.0, "1,2": -50.0, "1,3": -50.0, "2,3": -50.0}
         )
-        calls = self.count_fallbacks(monkeypatch)
         labels, values = rd.corner_lhs(theta, m)
-        assert (1, 2, 3) in calls
-        monkeypatch.undo()
         _, ref_values = reference_lhs(theta, m)
         assert_allclose(values[labels.index((1, 2, 3))], 3 * math.exp(-100), rtol=1e-12)
         assert_allclose(values, ref_values, rtol=1e-12)
+
+    def test_one_path_never_calls_the_reference(self, monkeypatch):
+        def refuse(q, theta):
+            raise AssertionError(f"corner_lhs evaluated {q.label} term by term")
+
+        m = rd.InteractionModel(5, 2)
+        monkeypatch.setattr(regions, "evaluate_inequality", refuse)
+        for beta in ({"4,5": -800.0, "1,2": -50.0, "1,3": -50.0, "2,3": -50.0},
+                     {"1": -400.0, "2": -400.0, "3": -400.0, "4,5": -400.0,
+                      "1,2": 400.0, "1,3": 400.0, "2,3": 400.0}):
+            rd.corner_lhs(rd.ParameterVector.from_dict(m, beta), m)
 
     def test_overflow_gives_inf_not_nan(self):
         m = rd.InteractionModel(2, 1)
@@ -487,6 +480,22 @@ class TestAgreementAtOrderOne:
                 a = rd.is_corner_optimal_by_theorem(theta, m).optimal
                 b = rd.kw_certificate(w, theta, m).optimal
                 assert a == b
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_verdicts_coincide_at_every_base_parameter(self, data):
+        # the base parameter scales every intensity, so it moves neither verdict
+        k = data.draw(st.integers(min_value=1, max_value=6), label="k")
+        m = rd.InteractionModel(k, 1)
+        base = data.draw(st.floats(min_value=-5.0, max_value=5.0), label="base")
+        rest = data.draw(st.lists(st.floats(min_value=-3.0, max_value=1.0),
+                                  min_size=k, max_size=k), label="beta")
+        theta = rd.ParameterVector(m, [base, *rest])
+        by_theorem = rd.is_corner_optimal_by_theorem(theta, m)
+        # within 1e-6 of the bound the two fixed tolerances may differ
+        assume(abs(by_theorem.max_directional_value - 1.0) > 1e-6)
+        by_kw = rd.kw_certificate(rd.corner_design(m), theta, m)
+        assert by_theorem.optimal == by_kw.optimal
 
 
 class TestSymmetricSlice:
