@@ -1,11 +1,12 @@
-"""Transforms on the 2^k subset lattice, shared by ``model``, ``regions`` and
-``optimizer``.
+"""Transforms on the 2^k subset lattice, shared by ``model``, ``regions``,
+``optimizer`` and ``geometry``.
 
 An array over the lattice has a last axis of length 2^k indexed by
 bitmask (bit ``i-1`` holds rule ``i``).  This module owns the subset-sum
-(zeta) transform in linear and in log space, and the two cached index
-tables that read the lattice in a model's subset order: the masks A|B of
-the information matrix and the sets C of the corner inequality system.
+(zeta) transform in linear and in log space, its inverse (the Moebius
+transform), and the two cached index tables that read the lattice in a
+model's subset order: the masks A|B of the information matrix and the
+sets C of the corner inequality system.
 Like every module of the package, it runs no numpy code at import.
 """
 
@@ -47,6 +48,13 @@ def log_zeta(r: np.ndarray) -> np.ndarray:
     Returns ``r``.
     """
     return _passes(r, np.logaddexp)
+
+
+def mobius(r: np.ndarray) -> np.ndarray:
+    """Inverse of ``zeta``, in place: afterwards ``r[..., C]`` holds the sum
+    of (-1)^|C - B| old ``r[..., B]`` over all subsets B of C.  Returns ``r``.
+    """
+    return _passes(r, np.subtract)
 
 
 @lru_cache(maxsize=8)

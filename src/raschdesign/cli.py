@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Every analysis is exposed as a subcommand with file-based inputs and
-outputs.  A command that writes files also writes ``<first
+outputs.  A command that writes files and succeeds also writes ``<first
 output>.manifest.json``, derived from its options: the given existing-file
 options are its ``inputs``, the other given path options its ``outputs``
 (in declaration order), ``--seed`` its ``seed``, and every other option
@@ -58,9 +58,8 @@ def _writes(param) -> bool:
     return isinstance(param.type, click.Path) and not param.type.exists
 
 
-def _write_manifest() -> None:
-    """Write the running command's manifest next to its first output."""
-    ctx = click.get_current_context()
+def _write_manifest(ctx) -> None:
+    """Write the command's manifest next to its first output, if it has one."""
     inputs, outputs, flags = [], [], {}
     for param in ctx.command.params:
         value = ctx.params[param.name]
@@ -253,11 +252,13 @@ class _Command(click.Command):
                         f"directory {folder!r} is missing or not writable", ctx, param
                     )
         try:
-            return super().invoke(ctx)
+            result = super().invoke(ctx)
         except InputFormatError as exc:
             raise click.UsageError(str(exc), ctx) from exc
         except (RaschDesignError, ValueError) as exc:
             raise click.ClickException(str(exc)) from exc
+        _write_manifest(ctx)
+        return result
 
 
 class _Group(click.Group):
@@ -302,7 +303,6 @@ def inequalities(theta, out):
             "max_lhs": verdict.max_directional_value if labels else None,
         }
         write_json(out, payload)
-        _write_manifest()
 
 
 @main.command()
@@ -332,7 +332,6 @@ def optimize(theta, max_iterations, kw_tolerance, out, report):
     )
     if not result.converged:
         raise click.ClickException("optimizer did not converge within the budget")
-    _write_manifest()
 
 
 @main.command()
@@ -400,7 +399,6 @@ def cmd_center_path(k, d, lambdas, out, matrices_out):
         write_json(matrices_out, dump)
     if path.first_exit is not None:
         click.echo(f"center exits the polytope at param={_fmt(path.first_exit)}")
-    _write_manifest()
 
 
 @main.command("region-slice")
@@ -429,7 +427,6 @@ def cmd_region_slice(k, d, s_grid, t_grid, out):
                 *values.tolist(), binding.tolist(),
                 map(_VERDICTS.__getitem__, verdict.tolist()),
             )))
-    _write_manifest()
 
 
 @main.command()
@@ -465,7 +462,6 @@ def probe(k, d, s_range, t_range, samples, seed, out):
             else f"witness at ({_fmt(entry.witness[0])}, {_fmt(entry.witness[1])})"
         )
         click.echo(f"c={c}: {state}  ({entry.n_witness} of {entry.n_violated} violations unique)")
-    _write_manifest()
 
 
 @main.command()
@@ -539,7 +535,6 @@ def compare(k, d, params, samples, seed, beta_low, beta_high, echo, out):
     )
     if out:
         write_json(out, payload)
-        _write_manifest()
 
 
 @main.command()
@@ -584,7 +579,6 @@ def symmetry(theta, element, design_path, orbit, out):
     if out:
         payload = orbit_list if orbit else [moved.as_dict()]
         write_json(out, payload)
-        _write_manifest()
 
 
 if __name__ == "__main__":

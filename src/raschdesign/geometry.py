@@ -7,13 +7,24 @@ matrices form a polytope.  Replacing the polytope by the spectrahedron
 D-optimal design into log det maximization over a linear matrix
 inequality; the maximizer is the analytic center.
 
-The affine chart uses the x = 0 vertex as base point and a maximal
-linearly independent set of vertex differences as directions, taken in
-increasing setting order.  When the analytic center is a convex
-combination of the vertices, those weights are a D-optimal design.
-Membership decides at the fixed ``MEMBERSHIP_TOL``.
+The affine chart comes from the subset lattice.  Vertex entry (A, B) is
+lambda(x) [A|B subset of x], so the vertices live in one moment coordinate
+per union U with |U| <= 2d, and those with |x| <= 2d span them.  With gamma
+the Moebius transform of 1/lambda and |V| > 2d, the weights
+c_x = (-1)^|V - x| / (lambda(x) gamma_V) on the subsets x of V sum to 1 and
+annihilate every moment (Laurent, Math. Oper. Res. 2003).  So the chart,
+based at x = 0, takes in mask order every x with 0 < |x| <= 2d plus the
+*hull witness*: the first V with |V| > 2d and |gamma_V| above its rounding
+bound k eps sum_{x subset V} 1/lambda(x).  This is the greedy chart of
+exact arithmetic.  A witness puts 0 in the affine hull, so t S lies in the
+slice for every t > 0 and log det is unbounded.  When the analytic center
+is a convex combination of the vertices, those weights are a D-optimal
+design.  Membership decides at the fixed ``MEMBERSHIP_TOL``.
 
-The center is found by the damped Newton method.  -log det S(u) is
+The center is found by the damped Newton method from the chart barycenter
+u_i = 1 / (dim + 1), the information matrix of the uniform design on the
+base and chart settings, which hold the corner support; a slice with a
+hull witness is answered unbounded there.  -log det S(u) is
 self-concordant (Nesterov & Nemirovskii 1994; Nesterov, Introductory
 Lectures on Convex Optimization, 2004, sec. 4.1), so with the Newton
 decrement lambda^2 = g^T (-H)^{-1} g the step u += (-H)^{-1} g / (1 + lambda)
@@ -22,8 +33,9 @@ raises log det by at least lambda - ln(1 + lambda).  No line search is
 needed.  If lambda < 1 at any iterate, the center exists (Nesterov 2004,
 Thm 4.1.11).  So on an unbounded slice every step gains at least
 1 - ln 2 > 0.3069, and log det passes ``LOG_DET_CEILING`` = 50 within 163
-steps, fewer than ``CENTER_MAX_ITERATIONS`` = 200: such a slice is
-reported as unbounded, never as max-iterations.
+steps, fewer than ``CENTER_MAX_ITERATIONS`` = 200: a slice whose hull
+excludes 0 but which still recedes is reported as unbounded, never as
+max-iterations.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+from ._lattice import mobius, zeta
 from ._numpy import np
 from .exceptions import InfeasibleStart, NotInAffineHull, NumericalCheckError
 from .model import (
@@ -47,8 +60,6 @@ from .model import (
 
 #: Feasibility tolerance of the convex-combination membership solver.
 MEMBERSHIP_TOL = 1e-8
-#: Relative rank threshold for selecting independent directions.
-RANK_TOL = 1e-10
 #: Newton steps ``analytic_center`` takes at most.
 CENTER_MAX_ITERATIONS = 200
 #: A log det gain above the start beyond this is reported as unbounded.
@@ -68,6 +79,9 @@ class PolytopeModel:
     base_index: int
     direction_settings: tuple[int, ...]
     directions: np.ndarray  # (dim, p, p)
+    #: first set V with |V| > 2d and gamma_V beyond rounding, else None;
+    #: when set, the affine hull holds the zero matrix (see the module notes)
+    hull_witness: int | None
 
     @property
     def dim(self) -> int:
@@ -122,31 +136,26 @@ class MembershipResult:
 
 
 def polytope_vertices(theta: ParameterVector, m: InteractionModel) -> PolytopeModel:
-    """All 2^k rank-one vertices and a chart of independent differences."""
+    """All 2^k rank-one vertices and the lattice chart of the module notes."""
     lam = intensities(theta, m)  # checks that theta belongs to m
     rows = regression_matrix(m).astype(float)
     vertices = lam[:, None, None] * rows[:, :, None] * rows[:, None, :]
-    diffs = (vertices - vertices[0]).reshape(len(rows), -1)
-    kept: list[int] = []
-    basis: list[np.ndarray] = []
-    for x in range(1, len(rows)):
-        vec = diffs[x]
-        residual = vec.copy()
-        for b in basis:
-            residual -= (b @ residual) * b
-        norm = np.linalg.norm(residual)
-        if norm > RANK_TOL * max(1.0, np.linalg.norm(vec)):
-            kept.append(x)
-            basis.append(residual / norm)
-    directions = (vertices[kept] - vertices[0]) if kept else np.zeros((0, m.p, m.p))
+    inverse = 1.0 / lam
+    gamma = mobius(inverse.copy())
+    bound = m.k * sys.float_info.epsilon * zeta(inverse)
+    large = np.array([x.bit_count() > 2 * m.d for x in range(len(lam))])
+    fired = np.flatnonzero(large & (np.abs(gamma) > bound))
+    witness = int(fired[0]) if fired.size else None
+    kept = [x for x in range(1, len(lam)) if not large[x] or x == witness]
     return PolytopeModel(
         model=m,
         theta=theta,
-        settings=tuple(range(len(rows))),
+        settings=tuple(range(len(lam))),
         vertices=vertices,
         base_index=0,
         direction_settings=tuple(kept),
-        directions=directions,
+        directions=vertices[kept] - vertices[0],
+        hull_witness=witness,
     )
 
 
@@ -192,14 +201,6 @@ def log_det_gradient_hessian(sl: LmiSlice, u) -> tuple[float, np.ndarray, np.nda
     return value, grad, -gram
 
 
-def _is_pd(mat: np.ndarray) -> bool:
-    try:
-        _cholesky(mat)
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
 def analytic_center(
     sl: LmiSlice,
     start: Sequence[float] | None = None,
@@ -207,22 +208,21 @@ def analytic_center(
 ) -> CenterResult:
     """Damped Newton maximization of log det over the LMI slice.
 
-    Every step is the Newton step scaled by 1 / (1 + lambda), with lambda^2
-    the Newton decrement (see the module notes), for at most
+    The default start is the chart barycenter.  A ``polytope`` with a hull
+    witness is answered unbounded at the start, after 0 iterations.  Every
+    step is the Newton step scaled by 1 / (1 + lambda), with lambda^2 the
+    Newton decrement (see the module notes), for at most
     ``CENTER_MAX_ITERATIONS`` steps.  The run converges once the decrement
     of the step just taken is at most 8 eps max(1, |log det|), the
     rounding level of log det.  A log det gain beyond ``LOG_DET_CEILING``
     above the start is reported as unbounded, which on an unbounded slice
     happens within 163 steps.  A Hessian whose negative has no Cholesky
-    factor raises ``NumericalCheckError`` naming the iteration.  The
-    default start is the coordinate centroid of the vertices, which
-    requires ``polytope``; when ``polytope`` is given, membership of the
-    center and its convex weights are filled in on convergence.
+    factor raises ``NumericalCheckError`` naming the iteration.  When
+    ``polytope`` is given, membership of the center and its convex weights
+    are filled in on convergence.
     """
     if start is None:
-        if polytope is None:
-            raise ValueError("need an explicit start or the polytope for the centroid")
-        u = vertex_coordinates(polytope).mean(axis=0)
+        u = np.full(sl.dim, 1.0 / (sl.dim + 1))
     else:
         u = np.asarray(start, dtype=float).copy()
         if u.shape != (sl.dim,):
@@ -230,9 +230,11 @@ def analytic_center(
 
     value, grad, hess = log_det_gradient_hessian(sl, u)  # raises InfeasibleStart
     start_value = value
-    status = CenterStatus.MAX_ITERATIONS
+    # a hull witness answers unbounded at the start, with no Newton step
+    witnessed = polytope is not None and polytope.hull_witness is not None
+    status = CenterStatus.UNBOUNDED if witnessed else CenterStatus.MAX_ITERATIONS
     iterations = 0
-    for iterations in range(1, CENTER_MAX_ITERATIONS + 1):
+    for iterations in range(1, 1 + (0 if witnessed else CENTER_MAX_ITERATIONS)):
         try:
             low = _cholesky(-hess)
         except np.linalg.LinAlgError as exc:
@@ -345,27 +347,17 @@ def center_path(
     thetas: Sequence[tuple[float, ParameterVector]],
     m: InteractionModel,
 ) -> CenterPathResult:
-    """Analytic centers along a parameter family, warm-starting each Newton run.
-
-    A previous center seeds the next run only when the charts agree and it
-    is still strictly feasible; otherwise the run starts from the centroid.
-    """
+    """Analytic centers along a parameter family, each run started at its
+    chart barycenter."""
     if not thetas:
         raise ValueError("empty parameter grid")
     rows = []
     first_exit = None
-    prev_u, prev_dirs = None, None
     for param, theta in thetas:
         pm = polytope_vertices(theta, m)
         sl = lmi_slice(pm)
-        # prev_dirs is None, and so never equal, after a run that did not converge
-        warm = prev_dirs == pm.direction_settings and _is_pd(sl.matrix(prev_u))
-        result = analytic_center(sl, start=prev_u if warm else None, polytope=pm)
+        result = analytic_center(sl, polytope=pm)
         rows.append(CenterPathRow(param=param, result=result, lmi=sl))
         if first_exit is None and result.inside_polytope is False:
             first_exit = param
-        if result.status is CenterStatus.CONVERGED:
-            prev_u, prev_dirs = result.coordinates, pm.direction_settings
-        else:
-            prev_u, prev_dirs = None, None
     return CenterPathResult(rows=tuple(rows), first_exit=first_exit)

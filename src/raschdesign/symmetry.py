@@ -217,8 +217,11 @@ def verify_transformation(
     """Compare M(g o w, g o theta) against Q M(w, theta) Q^T.
 
     Returns the max-entry residual and the determinant difference, both
-    relative to the matrix scale.
+    relative to the matrix scale.  theta is read at base parameter 0: as
+    f_empty = 1, Q^{-T} e_empty = e_empty, so a shift of beta_empty scales
+    both sides of the law by one factor, and a large one cannot overflow M.
     """
+    theta = theta.with_base_zero()
     q = representation_matrix(g, m).q
     m_orig = fisher_information(w, theta, m)
     m_moved = fisher_information(act_on_design(g, w), act_on_parameters(g, theta, m), m)

@@ -693,13 +693,17 @@ class TestCenterPath:
         assert "exits the polytope at param=0.41" in result.output
 
     def test_singular_hessian_exit_1(self, runner, tmp_path):
-        # -H is singular to rounding here, so no center may be reported
+        # the hull holds 0 here (gamma of {1,...,5} is 4e-7), so the slice is
+        # unbounded; Newton steps toward it once met a singular Hessian
+        out = tmp_path / "path.csv"
         result = runner.invoke(
             main, ["center-path", "--k", "5", "--d", "2", "--lambdas", "0.95",
-                   "--out", str(tmp_path / "path.csv")],
+                   "--out", str(out)],
         )
-        assert result.exit_code == 1
-        assert "not negative definite" in result.output
+        assert result.exit_code == 0, result.output
+        with out.open(newline="") as handle:
+            (row,) = csv.DictReader(handle)
+        assert row["status"] == "unbounded"
         assert "exits the polytope" not in result.output
 
     def test_non_finite_lambda_exit_2(self, runner, tmp_path):
@@ -977,3 +981,18 @@ class TestSymmetryCommand:
             main, ["symmetry", "--k", "2", "--d", "1", "--element", "perm=2,2"],
         )
         assert result.exit_code == 2
+
+    def test_design_check_at_large_base_parameter(self, runner, tmp_path):
+        design = tmp_path / "corner.json"
+        design.write_text(json.dumps({"k": 2, "weights": {"00": 1 / 3, "10": 1 / 3,
+                                                          "01": 1 / 3}}))
+        residuals = []
+        for base in (0, 720):
+            result = runner.invoke(
+                main, ["symmetry", "--k", "2", "--d", "1",
+                       "--beta", json.dumps({"": base, "1": -1}),
+                       "--element", "perm=2,1", "--design", str(design)],
+            )
+            assert result.exit_code == 0, result.output
+            residuals.append(re.search(r"transformation residual=.*", result.output)[0])
+        assert residuals[0] == residuals[1]

@@ -1,9 +1,12 @@
 """Polytope vertices, LMI slice, analytic centers, membership."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import raschdesign as rd
@@ -78,6 +81,94 @@ class TestPolytopeVertices:
         assert np.linalg.cond(gram) < 1e10
 
 
+def exact_chart(m, q):
+    """The greedy chart in exact arithmetic, and N = #{U : |U| <= 2d}.
+
+    ``q`` holds mu_A, in the order of ``m.masks``, as ``Fraction``s.  A
+    vertex's moment vector is lambda(x) [U subset of x] over the unions U
+    with |U| <= 2d.  In mask order, a setting is kept when its moment
+    vector minus the base's is independent of those kept before.
+    """
+    unions = [u for u in range(1 << m.k) if bin(u).count("1") <= 2 * m.d]
+    lam = [math.prod(qa for a, qa in zip(m.masks, q) if a & x == a)
+           for x in range(1 << m.k)]
+    basis = []  # (pivot, sparse vector scaled to 1 at its pivot)
+    kept = []
+    for x in range(1, 1 << m.k):
+        r = {u: lam[x] for u in unions if u & x == u}
+        r[0] -= lam[0]
+        for pivot, b in basis:
+            c = r.get(pivot)
+            if c:
+                for u, v in b.items():
+                    r[u] = r.get(u, 0) - c * v
+        r = {u: v for u, v in r.items() if v}
+        if r:
+            pivot = min(r)
+            basis.append((pivot, {u: v / r[pivot] for u, v in r.items()}))
+            kept.append(x)
+    return tuple(kept), len(unions)
+
+
+def theta_of(m, q):
+    return rd.ParameterVector(m, np.array([math.log(v) for v in q]))
+
+
+def assert_hull_certificate(pm):
+    """The weights c_x = (-1)^|V - x| / (lambda(x) gamma_V) on the subsets x of
+    the witness V sum to 1 and annihilate the vertices, to rounding."""
+    v, k = pm.hull_witness, pm.model.k
+    lam = rd.intensities(pm.theta, pm.model)
+    gamma = rd._lattice.mobius(1.0 / lam)[v]
+    subsets = [x for x in range(v + 1) if x & v == x]
+    c = np.array([(-1) ** bin(v ^ x).count("1") / (lam[x] * gamma) for x in subsets])
+    eps = sys.float_info.epsilon
+    assert abs(c.sum() - 1.0) <= 2 * k * eps * np.abs(c).sum()
+    residual = np.abs(np.tensordot(c, pm.vertices[subsets], axes=1)).max()
+    scale = sum(abs(cx) * np.abs(pm.vertices[x]).max() for cx, x in zip(c, subsets))
+    assert residual <= 4 * eps * scale
+
+
+SIZES = [(k, d) for k in range(2, 7) for d in range(1, min(3, k) + 1)]
+# mu_A = 1 is drawn often: it leaves gamma exactly 0 on some sets
+FRACTIONS = st.just(Fraction(1)) | st.sampled_from(
+    [Fraction(1, 10), Fraction(1, 2), Fraction(2, 3), Fraction(3, 2), Fraction(2),
+     Fraction(10)])
+
+
+class TestLatticeChart:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_chart_is_the_exact_greedy_chart(self, data):
+        k, d = data.draw(st.sampled_from(SIZES), label="k, d")
+        m = rd.InteractionModel(k, d)
+        q = [Fraction(1)] + data.draw(
+            st.lists(FRACTIONS, min_size=m.p - 1, max_size=m.p - 1), label="q")
+        pm = rd.polytope_vertices(theta_of(m, q), m)
+        kept, n_unions = exact_chart(m, q)
+        assert pm.direction_settings == kept
+        assert (pm.hull_witness is not None) == (len(kept) == n_unions)
+        if pm.hull_witness is not None:
+            assert_hull_certificate(pm)
+
+    @pytest.mark.parametrize("k, s, t", [
+        # gamma of {1,...,5} is about 1e-10, against a rounding bound of 4e-14
+        (5, Fraction(99, 100), Fraction(1)),
+        (5, Fraction(101, 100), Fraction(1)),
+        # intensities from 3^6 / 10^30 to 3: a relative rank test misreads them
+        (6, Fraction(3), Fraction(1, 100)),
+    ])
+    def test_near_degenerate_charts(self, k, s, t):
+        m = rd.InteractionModel(k, 2)
+        q = [Fraction(1)] + [s if len(a) == 1 else t for a in m.subsets[1:]]
+        pm = rd.polytope_vertices(theta_of(m, q), m)
+        kept, n_unions = exact_chart(m, q)
+        assert pm.direction_settings == kept
+        assert len(kept) == n_unions
+        assert pm.hull_witness == (1 << 5) - 1
+        assert_hull_certificate(pm)
+
+
 class TestLmiSlice:
     def test_base_point(self):
         m, theta = two_rule_model(0.5, 0.5)
@@ -123,8 +214,6 @@ class TestLmiSlice:
         u = [np.inf, 0.0, 0.0]
         with pytest.raises(ValueError, match="infs or NaNs"):
             rd.log_det_gradient_hessian(sl, u)
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            rd.geometry._is_pd(sl.matrix(u))
 
 
 class TestAnalyticCenter:
@@ -243,9 +332,24 @@ class TestAnalyticCenter:
 
     @pytest.mark.parametrize("lam", [0.95, 1.05])
     def test_singular_hessian_raises(self, lam):
-        # -H reaches an eigenvalue of about -1e-14 on the way to the center
-        with pytest.raises(rd.NumericalCheckError, match=r"Newton iteration \d+"):
-            self.cold_center(5, 2, lam)
+        # Newton steps toward this unbounded slice once met a singular -H;
+        # gamma of {1,...,5} is (1/lam - 1)^5, far above rounding, so the
+        # hull holds 0 and the answer comes before any step
+        res = self.cold_center(5, 2, lam)
+        assert res.status is CenterStatus.UNBOUNDED
+        assert res.iterations == 0
+        m = rd.InteractionModel(5, 2)
+        pm = rd.polytope_vertices(rd.ParameterVector.symmetric(m, lam), m)
+        assert pm.hull_witness == 31
+        assert_allclose(res.coordinates, np.full(31, 1 / 32))
+
+    def test_singular_hessian_raises_numerical_check_error(self):
+        # two equal directions make -H singular at every point
+        base = np.eye(2)
+        direction = np.array([[1.0, 0.0], [0.0, -1.0]])
+        sl = rd.LmiSlice(base, np.stack([direction, direction]), ("a", "b"))
+        with pytest.raises(rd.NumericalCheckError, match=r"Newton iteration 1\b"):
+            rd.analytic_center(sl, start=[0.1, 0.1])
 
     def test_converged_centers_are_stationary_on_a_grid(self):
         for k in (2, 3, 4):

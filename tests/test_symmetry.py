@@ -315,3 +315,16 @@ class TestTransformationLaw:
             report = rd.verify_transformation(g, w, theta, m)
             assert report.max_residual <= 1e-9
             assert report.det_difference <= 1e-9
+
+    def test_base_parameter_moves_no_report_value(self):
+        # at 720 the absolute-scale M overflows; the law is read at base 0
+        m = rd.InteractionModel(2, 1)
+        g = rd.GroupElement((2, 1), ())
+        w = rd.Design(2, {0: 1 / 3, 1: 1 / 3, 2: 1 / 3})
+        reports = [
+            rd.verify_transformation(g, w, rd.ParameterVector.from_dict(
+                m, {"": base, "1": -1.0}), m)
+            for base in (0.0, 720.0, -720.0)
+        ]
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0].max_residual <= 1e-12
