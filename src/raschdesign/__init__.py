@@ -26,9 +26,8 @@ _EXPORTS = {
         "symmetric_slice", "region_slice", "redundancy_probe",
     ),
     "optimizer": (
-        "OptimizerConfig", "OptimizerResult", "DesignStructure",
-        "optimize_design", "classify_structure", "find_transition",
-        "caratheodory_bound",
+        "OptimizerResult", "DesignStructure", "optimize_design",
+        "classify_structure", "find_transition", "caratheodory_bound",
     ),
     "geometry": (
         "PolytopeModel", "LmiSlice", "CenterResult", "CenterStatus",

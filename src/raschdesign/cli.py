@@ -30,7 +30,7 @@ from ._numpy import np
 from .exceptions import InputFormatError, RaschDesignError
 from .model import InteractionModel, ParameterVector, setting_string
 from .geometry import center_path
-from .optimizer import OptimizerConfig, optimize_design
+from .optimizer import MAX_ITERATIONS, optimize_design
 from .regions import (
     _VERDICTS,
     _slice_grid,
@@ -308,17 +308,14 @@ def inequalities(theta, out):
 @main.command()
 @_point_options
 @click.option("--max-iterations", type=click.IntRange(min=1),
-              default=OptimizerConfig.max_iterations, show_default=True)
-@click.option("--kw-tolerance", type=click.FloatRange(min=0, min_open=True),
-              default=OptimizerConfig.kw_tolerance, show_default=True)
+              default=MAX_ITERATIONS, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True,
               help="Design JSON output path.")
 @click.option("--report", type=click.Path(dir_okay=False), default=None,
               help="Run-report JSON output path.")
-def optimize(theta, max_iterations, kw_tolerance, out, report):
+def optimize(theta, max_iterations, out, report):
     """Compute a D-optimal approximate design for the given parameters."""
-    cfg = OptimizerConfig(max_iterations=max_iterations, kw_tolerance=kw_tolerance)
-    result = optimize_design(theta, theta.model, cfg)
+    result = optimize_design(theta, theta.model, max_iterations)
     save_design(result.design, out)
     if report:
         write_json(report, {

@@ -52,8 +52,11 @@ from .exceptions import InfeasibleStart, NotInAffineHull, NumericalCheckError
 from .model import (
     InteractionModel,
     ParameterVector,
+    _LOG_MAX,
     _cholesky,
+    _overflow,
     intensities,
+    log_intensity,
     regression_matrix,
     setting_string,
 )
@@ -138,6 +141,10 @@ class MembershipResult:
 def polytope_vertices(theta: ParameterVector, m: InteractionModel) -> PolytopeModel:
     """All 2^k rank-one vertices and the lattice chart of the module notes."""
     lam = intensities(theta, m)  # checks that theta belongs to m
+    low = int(lam.argmin())
+    log = log_intensity(low, theta, m)
+    if log < -_LOG_MAX:  # 1/lambda, the chart's input, is not a finite float
+        raise _overflow(low, log, m.k)
     rows = regression_matrix(m).astype(float)
     vertices = lam[:, None, None] * rows[:, :, None] * rows[:, None, :]
     inverse = 1.0 / lam

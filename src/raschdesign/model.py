@@ -386,11 +386,20 @@ def intensity(x, theta: ParameterVector, m: InteractionModel) -> float:
 
 
 def _overflow(x: int, log: float, k: int) -> ValueError:
-    """The error of a log intensity ``log`` above log(float max) at setting x."""
+    """The error of a log intensity ``log`` beyond +-log(float max) at setting x.
+
+    Above, the intensity overflows; below, its inverse does, which the
+    lattice chart of ``geometry`` cannot take.
+    """
+    if log > 0:
+        name, limit = "intensity", f"exceeds log(float max) = {_LOG_MAX:.12g}"
+        harm = "the information would hold infs or NaNs"
+    else:
+        name, limit = "1/intensity", f"is below -log(float max) = {-_LOG_MAX:.12g}"
+        harm = "1/intensity is not a finite float"
     return ValueError(
-        f"intensity overflows at setting {setting_string(x, k)}: log intensity "
-        f"{log:.12g} exceeds log(float max) = {_LOG_MAX:.12g}, so the "
-        "information would hold infs or NaNs"
+        f"{name} overflows at setting {setting_string(x, k)}: log intensity "
+        f"{log:.12g} {limit}, so {harm}"
     )
 
 

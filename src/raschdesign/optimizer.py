@@ -2,8 +2,11 @@
 
 The iteration w_x <- w_x * d(x) / p, with d(x) the sensitivity
 lambda(x) f(x)^T M(w)^{-1} f(x), has the D-optimal designs as its fixed
-points and never decreases log det M.  Convergence is declared through
-the equivalence theorem: stop when max_x d(x) <= p (1 + tol).  M and d
+points and never decreases log det M.  Every run starts from the uniform
+design on all 2^k settings and stops by the equivalence theorem, at the
+rule ``kw_certificate`` applies: max_x d(x) <= p (1 + KW_TOL).  So a
+converged result is a design the certificate calls optimal; a run that
+exhausts ``MAX_ITERATIONS`` (or a smaller budget) says so.  M and d
 come from two identities on the 2^k subset lattice, each one zeta
 transform: M_AB sums w_x lambda(x) over x containing A|B, and
 f(x)^T M^{-1} f(x) sums (M^{-1})_AB over A|B inside x.  An iteration
@@ -48,8 +51,7 @@ more than p settings evaluates, once, the uniform design on its p
 heaviest settings, and returns that design when it is nonsingular and
 passes the same KW test; near the end of the corner region this turns
 a run that stopped with a small weight left on an extra setting into
-the saturated optimum.  The iteration is deterministic (uniform seed
-design, no randomness).
+the saturated optimum.  The iteration is deterministic.
 """
 
 from __future__ import annotations
@@ -78,28 +80,17 @@ from .model import (
 )
 from .regions import KW_TOL
 
+#: Iteration budget of ``optimize_design`` and ``find_transition``.
+MAX_ITERATIONS = 200_000
+#: Absolute deviation from 1/n or 1/p that uniform and corner weights may show.
+STRUCTURE_TOL = 1e-6
+
 
 class DesignStructure(Enum):
     UNIFORM = "uniform"
     CORNER = "corner"
     SATURATED_OTHER = "saturated-other"
     INTERIOR = "interior"
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Iteration limits and tolerances of the multiplicative ascent."""
-
-    max_iterations: int = 200_000
-    #: the stop test is the KW certificate's verdict, at its tolerance
-    kw_tolerance: float = KW_TOL
-    seed_design: Design | None = None
-
-    def __post_init__(self) -> None:
-        if self.kw_tolerance <= 0:
-            raise ValueError("kw_tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,19 +116,17 @@ def caratheodory_bound(m: InteractionModel) -> int:
     return m.p * (m.p - 1) // 2 + 1
 
 
-def classify_structure(
-    w: Design, m: InteractionModel, tol: float = 1e-6
-) -> DesignStructure:
+def classify_structure(w: Design, m: InteractionModel) -> DesignStructure:
     """Uniform / corner / other-saturated / interior, by support and weights."""
     support = set(w.support)
     n = 1 << m.k
     if len(support) == n and all(
-        abs(v - 1.0 / n) <= tol for v in w.weights.values()
+        abs(v - 1.0 / n) <= STRUCTURE_TOL for v in w.weights.values()
     ):
         return DesignStructure.UNIFORM
     # the settings with at most d active rules are the parameter masks
     if support == set(m.masks) and all(
-        abs(v - 1.0 / m.p) <= tol for v in w.weights.values()
+        abs(v - 1.0 / m.p) <= STRUCTURE_TOL for v in w.weights.values()
     ):
         return DesignStructure.CORNER
     if len(support) == m.p:
@@ -201,7 +190,7 @@ def _exchange(
 
 
 def _snap(
-    w: np.ndarray, lam: np.ndarray, m: InteractionModel, tol: float
+    w: np.ndarray, lam: np.ndarray, m: InteractionModel
 ) -> tuple[np.ndarray, float, float] | None:
     """The uniform design on the p heaviest settings, if it passes the KW test.
 
@@ -220,7 +209,7 @@ def _snap(
         return None
     del wl
     kw_max = float(np.max(_sensitivities(low, lam, m)[1]))
-    if kw_max > m.p * (1.0 + tol):
+    if kw_max > m.p * (1.0 + KW_TOL):
         return None
     return top, 2.0 * float(np.sum(np.log(np.diag(low)))), kw_max
 
@@ -228,12 +217,13 @@ def _snap(
 def optimize_design(
     theta: ParameterVector,
     m: InteractionModel,
-    cfg: OptimizerConfig | None = None,
+    max_iterations: int = MAX_ITERATIONS,
 ) -> OptimizerResult:
-    """Run the ascent from the seed design (uniform by default).
+    """Run the ascent from the uniform design.
 
-    Raises ``SingularInformation`` when the seed design's information
-    matrix does not span, and ``MonotonicityError`` if log det ever
+    Raises ``ValueError`` when ``max_iterations < 1``,
+    ``SingularInformation`` when an iterate's information matrix does not
+    span, and ``MonotonicityError`` if log det ever
     decreases across exchange and multiplicative steps (a
     broken-sensitivity symptom).  A run that exhausts ``max_iterations``
     returns the last iterate with ``converged=False``.
@@ -243,20 +233,14 @@ def optimize_design(
     parameter; ``log_det`` and ``log_det_trace`` add p beta_empty back and
     stay the log det of M(w) at ``theta``.
     """
-    cfg = cfg or OptimizerConfig()
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
     n = 1 << m.k
     p = float(m.p)
     lam = intensities(theta.with_base_zero(), m)
     masks = np.asarray(m.masks, dtype=np.intp)
 
-    w = np.zeros(n)
-    if cfg.seed_design is None:
-        w[:] = 1.0 / n
-    else:
-        if cfg.seed_design.k != m.k:
-            raise ValueError("seed design does not match the model's rule count")
-        for mask, value in cfg.seed_design.weights.items():
-            w[mask] = value
+    w = np.full(n, 1.0 / n)
 
     trace: list[float] = []
     prunes: list[int] = []
@@ -266,7 +250,7 @@ def optimize_design(
     log_det = -math.inf
     iterations = 0
 
-    for iterations in range(cfg.max_iterations + 1):
+    for iterations in range(max_iterations + 1):
         try:
             low = _cholesky(_information(w * lam, m))
         except np.linalg.LinAlgError as exc:
@@ -289,10 +273,10 @@ def optimize_design(
 
         best = int(np.argmax(d))
         kw_max = float(d[best])
-        if kw_max <= p * (1.0 + cfg.kw_tolerance):
+        if kw_max <= p * (1.0 + KW_TOL):
             converged = True
             break
-        if iterations == cfg.max_iterations:
+        if iterations == max_iterations:
             break
 
         step_d = d
@@ -328,7 +312,7 @@ def optimize_design(
     # the snap then needs no more memory than an iteration
     del minv, d
     if converged and np.count_nonzero(w) > m.p:
-        snapped = _snap(w, lam, m, cfg.kw_tolerance)
+        snapped = _snap(w, lam, m)
         if snapped is not None:
             top, log_det, kw_max = snapped
             w[:] = 0.0
@@ -343,7 +327,7 @@ def optimize_design(
         iterations=iterations,
         final_kw_max=kw_max,
         log_det=log_det + scale,
-        structure=classify_structure(design, m, tol=10 * cfg.kw_tolerance),
+        structure=classify_structure(design, m),
         converged=converged,
         log_det_trace=np.asarray(trace) + scale,
         prune_iterations=tuple(prunes),
@@ -368,7 +352,7 @@ def find_transition(
     predicate: Callable[[OptimizerResult], bool],
     bracket: tuple[float, float],
     tol: float = 1e-3,
-    cfg: OptimizerConfig | None = None,
+    max_iterations: int = MAX_ITERATIONS,
 ) -> float:
     """Bisection for the parameter value where a structure predicate flips.
 
@@ -378,14 +362,12 @@ def find_transition(
     the parameter value and the budget.  Returns the bracket midpoint once
     its width is below ``tol``.
     """
-    cfg = cfg or OptimizerConfig()
-
     def verdict(value: float) -> bool:
-        result = optimize_design(path(value), m, cfg)
+        result = optimize_design(path(value), m, max_iterations)
         if not result.converged:
             raise NumericalCheckError(
                 f"optimizer did not converge at parameter {value!r} within "
-                f"max_iterations={cfg.max_iterations}"
+                f"max_iterations={max_iterations}"
             )
         return predicate(result)
 

@@ -235,6 +235,7 @@ def test_base_parameter_moves_no_answer(fresh_python, tmp_path, command):
 @pytest.mark.parametrize("argv", [
     ["optimize", "--k", "2", "--d", "1", "--max-iterations", "0"],
     ["optimize", "--k", "2", "--d", "1", "--kw-tolerance", "0"],
+    ["optimize", "--k", "2", "--d", "1", "--kw-tolerance", "1e-3"],
     ["optimize", "--k", "2", "--d", "1", "--prune-threshold", "1e-8"],
     ["probe", "--k", "5", "--d", "2", "--s-range", "0.001:1.0",
      "--t-range", "0.001:1.0", "--samples", "0"],
@@ -251,7 +252,8 @@ def test_base_parameter_moves_no_answer(fresh_python, tmp_path, command):
     ["inequalities", "--k", "2", "--d", "1", "--symmetric", "s=-1"],
     ["inequalities", "--k", "3", "--d", "2", "--symmetric", "s=0.5,t=-1"],
     ["inequalities", "--k", "2", "--d", "1", "--symmetric", "s=0.5,t=0.5"],
-], ids=["max-iterations", "kw-tolerance", "prune-threshold", "samples",
+], ids=["max-iterations", "kw-tolerance", "kw-tolerance-removed", "prune-threshold",
+        "samples",
         "compare-beta-low-nan", "compare-beta-low-inf", "symmetric-s-nan",
         "symmetric-s-inf", "symmetric-t-nan", "beta-nan", "beta-overflow",
         "beta-int-overflow", "symmetric-s-negative", "symmetric-t-negative",
@@ -303,8 +305,6 @@ MANIFEST_CASES = {
             "symmetric": ["--k", "2", "--d", "1", "--symmetric", "s=0.2"],
             "max_iterations": ["--k", "2", "--d", "1", "--symmetric", "s=0.3",
                                "--max-iterations", "5000"],
-            "kw_tolerance": ["--k", "2", "--d", "1", "--symmetric", "s=0.3",
-                             "--kw-tolerance", "1e-6"],
         },
         fixed=set(),
     ),
@@ -580,6 +580,20 @@ class TestCertify:
         assert "not-optimal" in result.output
         assert "worst-setting=11" in result.output
 
+    @pytest.mark.parametrize("point", [
+        ["--k", "2", "--d", "1", "--symmetric", "s=0.4145"],
+        ["--k", "3", "--d", "2", "--symmetric", "s=0.5,t=1.5"],
+    ], ids=["k2-interior", "k3-interior"])
+    def test_optimized_design_round_trips(self, runner, tmp_path, point):
+        # the optimizer stops by the certificate's rule, through the design file
+        design = tmp_path / "design.json"
+        result = runner.invoke(main, ["optimize", *point, "--out", str(design)])
+        assert result.exit_code == 0, result.output
+        assert "structure=interior" in result.output
+        result = runner.invoke(main, ["certify", *point, "--design", str(design)])
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith("verdict: optimal ")
+
     def test_singular_design_exit_1(self, runner, tmp_path):
         design = tmp_path / "design.json"
         design.write_text(json.dumps({"k": 2, "weights": {"00": 0.5, "10": 0.5}}))
@@ -590,6 +604,16 @@ class TestCertify:
 
 
 class TestCenterPath:
+    @pytest.mark.parametrize("lam", ["1e-200", "1e-155"])
+    def test_underflowing_intensity_exit_1(self, fresh_python, tmp_path, lam):
+        # lambda_11 = lam^2 is 0 or subnormal; a fresh process shows any RuntimeWarning
+        proc = fresh_python("-m", "raschdesign.cli", "center-path", "--k", "2", "--d", "1",
+                            "--lambdas", lam, "--out", "u.csv", cwd=tmp_path)
+        output = proc.stdout + proc.stderr
+        assert proc.returncode == 1, output
+        assert "Error: 1/intensity overflows at setting 11" in proc.stderr
+        assert "RuntimeWarning" not in output and "Traceback" not in output
+
     def test_reference_grid(self, runner, tmp_path):
         out = tmp_path / "path.csv"
         result = runner.invoke(

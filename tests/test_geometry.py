@@ -72,6 +72,17 @@ class TestPolytopeVertices:
             assert np.linalg.matrix_rank(v, tol=1e-10) == 1
             assert np.linalg.eigvalsh(v).min() >= -1e-12
 
+    @pytest.mark.parametrize("lam,log", [(1e-200, "-921.034037198"),
+                                         (1e-155, "-713.801378828")])
+    def test_inverse_intensity_overflow_raises(self, lam, log):
+        # lambda_11 = lam^2 is 0 or subnormal, so 1/lambda_11 is no finite float
+        m, theta = two_rule_model(lam, lam)
+        with pytest.raises(ValueError, match=rf"1/intensity overflows at setting 11: "
+                                             rf"log intensity {log} is below"):
+            rd.polytope_vertices(theta, m)
+        m, theta = two_rule_model(1e-154, 1e-154)
+        assert rd.polytope_vertices(theta, m).hull_witness is None
+
     def test_directions_linearly_independent(self):
         m = rd.InteractionModel(3, 1)
         theta = rd.ParameterVector.symmetric(m, 0.6)

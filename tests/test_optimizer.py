@@ -68,8 +68,8 @@ class TestOptimizeDesign:
         # just below the saturation point the corner weights converge
         # slowly; deleting (1,1) by the Harman-Pronzato bound ends the run
         m = rd.InteractionModel(2, 1)
-        cfg = rd.OptimizerConfig(max_iterations=100)
-        result = rd.optimize_design(rd.ParameterVector.symmetric(m, 0.41), m, cfg)
+        result = rd.optimize_design(rd.ParameterVector.symmetric(m, 0.41), m,
+                                    max_iterations=100)
         assert result.converged
         assert result.structure is DesignStructure.CORNER
         assert result.prune_iterations
@@ -112,17 +112,15 @@ class TestOptimizeDesign:
         for value in result.design.weights.values():
             assert abs(value - 1.0 / m.p) <= 10 * 1e-7
 
-    def test_seed_design_must_span(self):
+    def test_max_iterations_must_be_positive(self):
         m = rd.InteractionModel(2, 1)
-        seed = rd.Design(2, {0: 0.5, 1: 0.5})
-        cfg = rd.OptimizerConfig(seed_design=seed)
-        with pytest.raises(rd.SingularInformation):
-            rd.optimize_design(rd.ParameterVector.zeros(m), m, cfg)
+        with pytest.raises(ValueError, match="max_iterations"):
+            rd.optimize_design(rd.ParameterVector.zeros(m), m, max_iterations=0)
 
     def test_unconverged_run_flagged(self):
         m = rd.InteractionModel(2, 1)
-        cfg = rd.OptimizerConfig(max_iterations=2)
-        result = rd.optimize_design(rd.ParameterVector.symmetric(m, 0.45), m, cfg)
+        result = rd.optimize_design(rd.ParameterVector.symmetric(m, 0.45), m,
+                                    max_iterations=2)
         assert not result.converged
         assert result.final_kw_max > m.p
 
@@ -256,14 +254,6 @@ class TestVertexExchange:
         assert segment_monotone(result.log_det_trace, deletions)
 
 
-class TestOptimizerConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            rd.OptimizerConfig(kw_tolerance=0.0)
-        with pytest.raises(ValueError):
-            rd.OptimizerConfig(max_iterations=0)
-
-
 class TestClassifyStructure:
     def test_corner(self):
         m = rd.InteractionModel(3, 2)
@@ -305,7 +295,7 @@ class TestFindTransition:
                 lambda r: r.structure is DesignStructure.CORNER,
                 bracket=(0.3, 0.5),
                 tol=1e-4,
-                cfg=rd.OptimizerConfig(max_iterations=2),
+                max_iterations=2,
             )
 
     def test_no_bracket(self):
@@ -403,8 +393,8 @@ class TestBaseParameterIsAScale:
         theta, theta_moved = rd.ParameterVector(m, beta), rd.ParameterVector(m, moved)
 
         # a small budget: both runs stop at the same iterate, converged or not
-        cfg = rd.OptimizerConfig(max_iterations=2000)
-        a, b = rd.optimize_design(theta, m, cfg), rd.optimize_design(theta_moved, m, cfg)
+        a = rd.optimize_design(theta, m, max_iterations=2000)
+        b = rd.optimize_design(theta_moved, m, max_iterations=2000)
         assert a.design.weights == b.design.weights
         assert (a.iterations, a.converged, a.structure) == (b.iterations, b.converged,
                                                             b.structure)

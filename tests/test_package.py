@@ -23,8 +23,8 @@ EXPORTS = {
         "region_slice", "redundancy_probe",
     ],
     "optimizer": [
-        "OptimizerConfig", "OptimizerResult", "DesignStructure", "optimize_design",
-        "classify_structure", "find_transition", "caratheodory_bound",
+        "OptimizerResult", "DesignStructure", "optimize_design", "classify_structure",
+        "find_transition", "caratheodory_bound",
     ],
     "geometry": [
         "PolytopeModel", "LmiSlice", "CenterResult", "CenterStatus", "MembershipResult",
@@ -46,7 +46,7 @@ HOME = {name: module for module, names in EXPORTS.items() for name in names}
 
 
 def test_all_lists_every_export():
-    assert len(HOME) == 71
+    assert len(HOME) == 70
     assert set(rd.__all__) == {"__version__", *HOME}
     assert len(rd.__all__) == len(set(rd.__all__))
 
