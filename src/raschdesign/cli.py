@@ -229,6 +229,8 @@ def _parse_element(text: str, k: int) -> GroupElement:
             flips = values
         else:
             raise click.UsageError(f"element parts are perm=... or flips=..., got {key!r}")
+    if len(perm) != k:
+        raise click.UsageError(f"perm lists {len(perm)} rules, the model has {k}")
     try:
         return GroupElement(perm, flips)
     except ValueError as exc:
@@ -554,6 +556,7 @@ def symmetry(theta, element, design_path, orbit, out):
 
     m = theta.model
     g = _parse_element(element, m.k)
+    w = load_design(design_path, m.k) if design_path else None
     rep = representation_matrix(g, m)
     moved = act_on_parameters(g, theta, m)
     click.echo(f"|det Q| = {abs(rep.det)}")
@@ -561,8 +564,7 @@ def symmetry(theta, element, design_path, orbit, out):
     if orbit:
         orbit_list = [point.as_dict() for point in parameter_orbit(g, theta, m)]
         click.echo(f"orbit size {len(orbit_list)}")
-    if design_path:
-        w = load_design(design_path, m.k)
+    if w is not None:
         report = verify_transformation(g, w, theta, m)
         click.echo(
             f"transformation residual={_fmt(report.max_residual)}"

@@ -11,17 +11,20 @@ inverse transpose, which keeps the regression response invariant, and
 information matrices transform by congruence with Q_g (determinant
 unchanged).
 
-Q_g is solved exactly on the corner settings and checked by its support:
-f_A(g o x) reads only the rules in A' = perm^-1(A), so a row A of Q_g that
-is zero outside the subsets of A' holds on all 2^k settings once it holds
-on the subsets of A', which are corner settings.  The check costs O(p^2),
-so ``symmetry --orbit`` runs at (k, d) = (20, 2) in about a second.
+Q_g has a closed form.  With A' = perm^-1(A) and F the flip set,
+f_A(g o x) = prod_{i in A'-F} x_i prod_{i in A'&F} (1 - x_i), so
+Q[A, B] = (-1)^|B&F| when A'-F <= B <= A' (a model subset) and 0 otherwise.
+Ordered by A -> A', the rows of Q form a lower triangular matrix in the
+subset order, since B < A' forces |B| < |A'|, with diagonal (-1)^|A'&F|.
+So det Q is the sign of the index permutation A -> A' times
+prod_A (-1)^|A'&F|, and |det Q| = 1 always.  Q costs O(p 2^d) entries to
+set and its determinant O(p).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ._numpy import np
 from .model import (
@@ -30,8 +33,6 @@ from .model import (
     ParameterVector,
     _check_model,
     fisher_information,
-    regression_matrix,
-    inverse_model_matrix,
     setting_mask,
     subset_mask,
 )
@@ -102,59 +103,54 @@ def act_on_setting(g: GroupElement, x, k: int | None = None) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Representation:
-    """The integer matrix Q with f(g o x) = Q f(x) for all settings."""
+    """The integer matrix Q with f(g o x) = Q f(x) for all settings, and det Q."""
 
     element: GroupElement
     model: InteractionModel
     q: np.ndarray
-
-    @property
-    def det(self) -> int:
-        return _integer_det(self.q)
+    det: int
 
 
 def representation_matrix(g: GroupElement, m: InteractionModel) -> Representation:
-    """Solve for Q exactly on the corner support and check it by its support.
-
-    The corner support's regression matrix is unimodular with a known
-    integer inverse, so Q comes out in exact integer arithmetic.  Row A of
-    Q must be zero outside the subsets of perm^-1(A) (see the module notes).
-    """
+    """Q_g and its determinant from the closed form (see the module notes)."""
     if g.k != m.k:
         raise ValueError(f"group element on {g.k} rules, model on {m.k}")
-    moved = [act_on_setting(g, x, m.k) for x in m.masks]
-    q = (inverse_model_matrix(m) @ regression_matrix(m, moved)).T
-    masks = np.asarray(m.masks, dtype=np.int64)
-    pulled = np.zeros_like(masks)  # A' = perm^-1(A): rule i is in A' iff perm(i) is in A
-    for i, image in enumerate(g.perm):
-        pulled |= ((masks >> (image - 1)) & 1) << i
-    if np.any((q != 0) & ((masks[None, :] & ~pulled[:, None]) != 0)):
-        raise AssertionError(
-            "regression action is not linear; representation solve is inconsistent"
-        )
-    return Representation(g, m, q)
+    pull = GroupElement(_inverse_perm(g.perm), ())  # A -> A' = perm^-1(A)
+    flips = subset_mask(g.flips)
+    rows, cols, signs = [], [], []
+    diagonal, parity = [], 0
+    for row, a in enumerate(act_on_setting(pull, mask, m.k) for mask in m.masks):
+        free = a & flips
+        diagonal.append(m.position(a))
+        parity += free.bit_count()
+        sub = free
+        while True:  # B = (A' - F) | sub over the subsets sub of A' & F
+            rows.append(row)
+            cols.append(m.position((a ^ free) | sub))
+            signs.append((-1) ** sub.bit_count())
+            if not sub:
+                break
+            sub = (sub - 1) & free
+    q = np.zeros((m.p, m.p), dtype=np.int64)
+    q[rows, cols] = signs
+    # sign(A -> A'): a cycle of length L has sign (-1)^(L-1)
+    parity += m.p - len(_cycles(diagonal))
+    return Representation(g, m, q, (-1) ** parity)
 
 
-def _integer_det(mat: np.ndarray) -> int:
-    """Exact determinant of a small integer matrix (elimination over rationals)."""
-    a = [[Fraction(int(v)) for v in row] for row in mat]
-    n = len(a)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] * inv
-            if factor:
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    assert det.denominator == 1
-    return int(det)
+def _cycles(image: list[int]) -> list[list[int]]:
+    """Cycles of the permutation i -> image[i] of 0..n-1."""
+    cycles, seen = [], set()
+    for start in range(len(image)):
+        cycle = []
+        i = start
+        while i not in seen:
+            seen.add(i)
+            cycle.append(i)
+            i = image[i]
+        if cycle:
+            cycles.append(cycle)
+    return cycles
 
 
 def act_on_parameters(
@@ -174,22 +170,34 @@ def act_on_parameters(
 def parameter_orbit(
     g: GroupElement, theta: ParameterVector, m: InteractionModel
 ) -> list[ParameterVector]:
-    """theta, g theta, g^2 theta, ... up to the first repeat.
+    """theta, g theta, g^2 theta, ... until the orbit returns to theta.
 
-    Points are compared rounded to 12 decimals.  Q^{-1} is built once for
-    the whole orbit, so each further point costs one matrix-vector product.
+    An orbit of the cyclic group of g can close only at theta, so each point
+    is compared with theta alone, at 1e-12 max(1, |theta|_inf), and the orbit
+    never grows past the order of g.  Q^{-1} is built once for the whole
+    orbit, so each further point costs one matrix-vector product.
     """
     _check_model(theta, m)
     q_inv = representation_matrix(g.inverse(), m).q
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(theta.values))))
     orbit = [theta]
-    seen = {tuple(np.round(theta.values, 12))}
-    while True:
+    for _ in range(_order(g) - 1):
         current = ParameterVector(m, q_inv.T @ orbit[-1].values)
-        key = tuple(np.round(current.values, 12))
-        if key in seen:
-            return orbit
-        seen.add(key)
+        if np.max(np.abs(current.values - theta.values)) <= tol:
+            break
         orbit.append(current)
+    return orbit
+
+
+def _order(g: GroupElement) -> int:
+    """Order of g: a cycle of length L of perm returns its rules after L
+    steps, flipped once per flip on the cycle, so it needs 2L when those
+    flips are odd in number."""
+    flips = {i - 1 for i in g.flips}
+    return math.lcm(*(
+        len(cycle) << (len(flips.intersection(cycle)) % 2)
+        for cycle in _cycles([image - 1 for image in g.perm])
+    ))
 
 
 def act_on_design(g: GroupElement, w: Design) -> Design:

@@ -1001,10 +1001,36 @@ class TestSymmetryCommand:
         assert "orbit size 40" in result.output
 
     def test_invalid_element_exit_2(self, runner):
+        for k, element in [("2", "perm=2,2"), ("3", "perm=2,1"), ("3", "perm=2,1,3,4")]:
+            result = runner.invoke(
+                main, ["symmetry", "--k", k, "--d", "1", "--element", element],
+            )
+            assert result.exit_code == 2, (k, element, result.output)
+
+    def test_design_of_the_wrong_k_prints_nothing(self, runner, tmp_path):
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"k": 3, "weights": {"000": 1.0}}))
         result = runner.invoke(
-            main, ["symmetry", "--k", "2", "--d", "1", "--element", "perm=2,2"],
+            main, ["symmetry", "--k", "2", "--d", "1", "--element", "flips=1",
+                   "--design", str(design)],
         )
         assert result.exit_code == 2
+        # no report line comes before the usage error
+        assert result.output.startswith("Usage:"), result.output
+        assert "expected k=2" in result.output
+
+    def test_orbit_closes_at_a_rounding_boundary(self, runner, tmp_path):
+        # at 0.1234567890125 rounding to 12 decimals drifts by one unit, which
+        # once hid the return to theta; flips=1 has order 2
+        out = tmp_path / "orbit.json"
+        result = runner.invoke(
+            main, ["symmetry", "--k", "2", "--d", "1",
+                   "--beta", '{"": 0.1234567890125, "1": 0.7}', "--element", "flips=1",
+                   "--orbit", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        assert "orbit size 2" in result.output
+        assert len(json.loads(out.read_text())) == 2
 
     def test_design_check_at_large_base_parameter(self, runner, tmp_path):
         design = tmp_path / "corner.json"

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,43 @@ def random_design(rng, k, min_support):
     raw = rng.random(size) + 0.05
     raw /= raw.sum()
     return rd.Design(k, {int(x): float(v) for x, v in zip(support, raw)})
+
+
+def solved_q(g, m):
+    """Q solved exactly on the corner settings, whose model matrix has a
+    known integer inverse: the reference for the closed form."""
+    moved = [rd.act_on_setting(g, x, m.k) for x in m.masks]
+    return (rd.inverse_model_matrix(m) @ rd.regression_matrix(m, moved)).T
+
+
+def fraction_det(mat):
+    """Exact determinant of an integer matrix by elimination over the rationals."""
+    a = [[Fraction(int(v)) for v in row] for row in mat]
+    n = len(a)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            factor = a[r][col] / a[col][col]
+            if factor:
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    assert det.denominator == 1
+    return int(det)
+
+
+def element_order(g):
+    """Smallest n with g^n the identity, by repeated composition."""
+    power, n = g, 1
+    identity = rd.GroupElement.identity(g.k)
+    while power != identity:
+        power, n = g.compose(power), n + 1
+    return n
 
 
 elements = st.integers(min_value=0, max_value=10_000)
@@ -119,23 +157,26 @@ class TestRepresentation:
                 rows = rd.regression_matrix(m)
                 for perm, flips in itertools.product(perms, flip_sets):
                     g = rd.GroupElement(perm, flips)
-                    q = rd.representation_matrix(g, m).q
+                    rep = rd.representation_matrix(g, m)
                     moved = rd.regression_matrix(
                         m, [rd.act_on_setting(g, x, k) for x in m.settings()]
                     )
-                    assert np.array_equal(moved, rows @ q.T), (k, d, g)
+                    assert np.array_equal(moved, rows @ rep.q.T), (k, d, g)
+                    assert np.array_equal(rep.q, solved_q(g, m)), (k, d, g)
+                    assert rep.q.dtype == np.int64
+                    assert rep.det == fraction_det(rep.q), (k, d, g)
                     count += 1
         assert count == 1698
 
-    def test_support_check_rejects_a_nonlinear_action(self, monkeypatch):
-        # settings with two or more active rules collapse to x = 0; f(g o x)
-        # is then not Q f(x) for any Q, and the corner solve alone cannot see it
-        monkeypatch.setattr(
-            symmetry, "act_on_setting",
-            lambda g, x, k=None: x if int(x).bit_count() < 2 else 0,
-        )
-        with pytest.raises(AssertionError, match="not linear"):
-            rd.representation_matrix(rd.GroupElement.identity(3), rd.InteractionModel(3, 2))
+    @pytest.mark.parametrize("k, d", [(12, 3), (20, 2)])
+    def test_closed_form_matches_the_exact_solve(self, k, d):
+        rng = np.random.default_rng(k * 10 + d)
+        m = rd.InteractionModel(k, d)
+        for _ in range(3):
+            g = random_element(rng, k)
+            rep = rd.representation_matrix(g, m)
+            assert np.array_equal(rep.q, solved_q(g, m)), g
+            assert rep.det == fraction_det(rep.q), g
 
     def test_k20_builds_no_lattice_sized_array(self):
         m = rd.InteractionModel(20, 2)
@@ -259,6 +300,17 @@ class TestParameterOrbit:
             orbit = symmetry.parameter_orbit(element, theta, m)
             counts[len(orbit)] = len(calls)
         assert counts == {2: 1, 8: 1}
+
+    def test_length_divides_the_order(self):
+        rng = np.random.default_rng(21)
+        for k, d in [(3, 2), (4, 2), (5, 3)]:
+            m = rd.InteractionModel(k, d)
+            for _ in range(100):
+                g = random_element(rng, k)
+                # every entry on a 12-decimal rounding boundary
+                values = np.round(rng.uniform(-1, 1, m.p), 12) + 5e-13
+                orbit = symmetry.parameter_orbit(g, rd.ParameterVector(m, values), m)
+                assert element_order(g) % len(orbit) == 0, (g, len(orbit))
 
 
 class TestDesignAction:
