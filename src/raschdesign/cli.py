@@ -385,16 +385,18 @@ def cmd_center_path(k, d, lambdas, out, matrices_out):
         ))
     Path(out).write_text("\n".join(lines) + "\n")
     if matrices_out:
-        dump = [
-            {
+        dump = []
+        for row in path.rows:
+            # the slice holds only its chart rows: base and directions are built here
+            base = row.lmi.matrix(np.zeros(row.lmi.dim))
+            dump.append({
                 "param": row.param,
                 "labels": list(row.lmi.labels),
-                "base": rows_of(row.lmi.base),
-                "directions": [rows_of(dmat) for dmat in row.lmi.directions],
+                "base": rows_of(base),
+                "directions": [rows_of(row.lmi.matrix(e) - base)
+                               for e in np.eye(row.lmi.dim)],
                 "center": rows_of(row.result.matrix),
-            }
-            for row in path.rows
-        ]
+            })
         write_json(matrices_out, dump)
     if path.first_exit is not None:
         click.echo(f"center exits the polytope at param={_fmt(path.first_exit)}")

@@ -5,7 +5,8 @@ vertex matrices lambda(x) f(x) f(x)^T, so the feasible information
 matrices form a polytope.  Replacing the polytope by the spectrahedron
 (intersection of the PSD cone with the polytope's affine hull) turns
 D-optimal design into log det maximization over a linear matrix
-inequality; the maximizer is the analytic center.
+inequality; the maximizer is the analytic center.  When the center is a
+convex combination of the vertices, those weights are a D-optimal design.
 
 The affine chart comes from the subset lattice.  Vertex entry (A, B) is
 lambda(x) [A|B subset of x], so the vertices live in one moment coordinate
@@ -17,25 +18,34 @@ based at x = 0, takes in mask order every x with 0 < |x| <= 2d plus the
 *hull witness*: the first V with |V| > 2d and |gamma_V| above its rounding
 bound k eps sum_{x subset V} 1/lambda(x).  This is the greedy chart of
 exact arithmetic.  A witness puts 0 in the affine hull, so t S lies in the
-slice for every t > 0 and log det is unbounded.  When the analytic center
-is a convex combination of the vertices, those weights are a D-optimal
-design.  Membership decides at the fixed ``MEMBERSHIP_TOL``.
+slice for every t > 0 and log det is unbounded.
 
-The center is found by the damped Newton method from the chart barycenter
-u_i = 1 / (dim + 1), the information matrix of the uniform design on the
-base and chart settings, which hold the corner support; a slice with a
-hull witness is answered unbounded there.  -log det S(u) is
-self-concordant (Nesterov & Nemirovskii 1994; Nesterov, Introductory
-Lectures on Convex Optimization, 2004, sec. 4.1), so with the Newton
-decrement lambda^2 = g^T (-H)^{-1} g the step u += (-H)^{-1} g / (1 + lambda)
-stays inside the Dikin ellipsoid, where S(u) is positive definite, and
-raises log det by at least lambda - ln(1 + lambda).  No line search is
-needed.  If lambda < 1 at any iterate, the center exists (Nesterov 2004,
-Thm 4.1.11).  So on an unbounded slice every step gains at least
-1 - ln 2 > 0.3069, and log det passes ``LOG_DET_CEILING`` = 50 within 163
-steps, fewer than ``CENTER_MAX_ITERATIONS`` = 200: a slice whose hull
-excludes 0 but which still recedes is reported as unbounded, never as
-max-iterations.
+Each chart direction is a vertex minus the base vertex, so the slice is the
+signed design S(u) = F^T diag(c lambda) F on the chart rows F of the
+regression matrix, with c = (1 - sum u, u).  With G2 the entrywise square of
+G = Lambda^{1/2} F S^{-1} F^T Lambda^{1/2}, log det S(u) has gradient
+G_ii - G_00 and Hessian -(G2_ij - G2_i0 - G2_0j + G2_00) (Vandenberghe, Boyd
+& Wu, SIAM J. Matrix Anal. Appl. 1998).  The superset Moebius transform of a
+point's moments (its entries at A|B = U) on the down-set |U| <= 2d, over
+lambda, gives its weights c on the settings |y| <= 2d; for a vertex x with
+|x| > 2d, c_y = (lambda_x / lambda_y) (-1)^(2d - |y|) C(|x| - |y| - 1,
+2d - |y|) on the subsets y of x.  A witness V adds t (e_V - c(V)), which
+rebuilds 0, with t = (1 - sum c) / (1 - sum c(V)).  Membership decides at
+``MEMBERSHIP_TOL``.
+
+The center is found by damped Newton steps from the chart barycenter
+u_i = 1 / (dim + 1), the uniform design on the chart settings, which hold
+the corner support; a witnessed slice is answered unbounded there, with no
+Hessian.  -log det S(u) is self-concordant (Nesterov & Nemirovskii 1994;
+Nesterov, Introductory Lectures on Convex Optimization, 2004, sec. 4.1):
+with the Newton decrement lambda^2 = g^T (-H)^{-1} g, the step
+u += (-H)^{-1} g / (1 + lambda) stays in the Dikin ellipsoid, where S(u) is
+positive definite, and raises log det by at least lambda - ln(1 + lambda),
+with no line search.  If lambda < 1 at any iterate, the center exists
+(Nesterov 2004, Thm 4.1.11).  So on an unbounded slice every step gains at
+least 1 - ln 2 > 0.3069, and log det passes ``LOG_DET_CEILING`` = 50 within
+163 steps, inside ``CENTER_MAX_ITERATIONS`` = 200: a receding slice whose
+hull excludes 0 is reported unbounded, never max-iterations.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from ._lattice import mobius, zeta
+from ._lattice import mobius, union_index, zeta
 from ._numpy import np
 from .exceptions import InfeasibleStart, NotInAffineHull, NumericalCheckError
 from .model import (
@@ -73,34 +83,33 @@ _ROUNDING = 8 * sys.float_info.epsilon
 
 @dataclass(frozen=True, eq=False)
 class PolytopeModel:
-    """Vertices of the information matrix polytope plus an affine chart."""
+    """The information matrix polytope, held by its lattice chart."""
 
     model: InteractionModel
     theta: ParameterVector
+    #: chart settings in mask order; the base setting 0 comes first
     settings: tuple[int, ...]
-    vertices: np.ndarray  # (n_settings, p, p), rank-one PSD
-    base_index: int
-    direction_settings: tuple[int, ...]
-    directions: np.ndarray  # (dim, p, p)
+    rows: np.ndarray  # (dim + 1, p), f(x) at the chart settings
+    intensities: np.ndarray  # (dim + 1,), lambda(x) at the chart settings
     #: first set V with |V| > 2d and gamma_V beyond rounding, else None;
     #: when set, the affine hull holds the zero matrix (see the module notes)
     hull_witness: int | None
 
     @property
     def dim(self) -> int:
-        return len(self.direction_settings)
+        return len(self.settings) - 1
 
     @property
     def n_vertices(self) -> int:
-        return len(self.settings)
+        return 1 << self.model.k
 
 
 @dataclass(frozen=True, eq=False)
 class LmiSlice:
-    """Affine matrix map S(u) = base + sum_i u_i * directions[i]."""
+    """Signed design S(u) = F^T diag(c lambda) F, c = (1 - sum u, u), on the chart."""
 
-    base: np.ndarray
-    directions: np.ndarray
+    rows: np.ndarray
+    intensities: np.ndarray
     labels: tuple[str, ...]
 
     @property
@@ -109,7 +118,8 @@ class LmiSlice:
 
     def matrix(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        return self.base + np.tensordot(u, self.directions, axes=1)
+        c = np.concatenate([[1.0 - u.sum()], u])
+        return (self.rows.T * (c * self.intensities)) @ self.rows
 
 
 class CenterStatus(Enum):
@@ -138,74 +148,91 @@ class MembershipResult:
     coordinates: np.ndarray
 
 
+def _sizes(k: int) -> np.ndarray:
+    """|x| for every mask x: the zeta transform of the singletons."""
+    return zeta(np.bincount(1 << np.arange(k), minlength=1 << k))
+
+
 def polytope_vertices(theta: ParameterVector, m: InteractionModel) -> PolytopeModel:
-    """All 2^k rank-one vertices and the lattice chart of the module notes."""
+    """The lattice chart of the module notes, with its rows and intensities."""
     lam = intensities(theta, m)  # checks that theta belongs to m
     low = int(lam.argmin())
     log = log_intensity(low, theta, m)
     if log < -_LOG_MAX:  # 1/lambda, the chart's input, is not a finite float
         raise _overflow(low, log, m.k)
-    rows = regression_matrix(m).astype(float)
-    vertices = lam[:, None, None] * rows[:, :, None] * rows[:, None, :]
     inverse = 1.0 / lam
     gamma = mobius(inverse.copy())
     bound = m.k * sys.float_info.epsilon * zeta(inverse)
-    large = np.array([x.bit_count() > 2 * m.d for x in range(len(lam))])
-    fired = np.flatnonzero(large & (np.abs(gamma) > bound))
-    witness = int(fired[0]) if fired.size else None
-    kept = [x for x in range(1, len(lam)) if not large[x] or x == witness]
+    kept = _sizes(m.k) <= 2 * m.d
+    fired = np.flatnonzero(~kept & (np.abs(gamma) > bound))
+    kept[fired[:1]] = True
+    chart = np.flatnonzero(kept)
     return PolytopeModel(
-        model=m,
-        theta=theta,
-        settings=tuple(range(len(lam))),
-        vertices=vertices,
-        base_index=0,
-        direction_settings=tuple(kept),
-        directions=vertices[kept] - vertices[0],
-        hull_witness=witness,
+        model=m, theta=theta, settings=tuple(chart.tolist()),
+        rows=regression_matrix(m, chart).astype(float), intensities=lam[chart],
+        hull_witness=int(fired[0]) if fired.size else None,
     )
 
 
 def lmi_slice(pm: PolytopeModel) -> LmiSlice:
     """The LMI relaxation in the polytope's affine chart."""
-    labels = tuple(setting_string(x, pm.model.k) for x in pm.direction_settings)
-    # a copy, so that a kept slice does not hold on to all 2^k vertices
-    return LmiSlice(pm.vertices[pm.base_index].copy(), pm.directions, labels)
+    labels = tuple(setting_string(x, pm.model.k) for x in pm.settings[1:])
+    return LmiSlice(pm.rows, pm.intensities, labels)
 
 
 def vertex_coordinates(pm: PolytopeModel) -> np.ndarray:
-    """Chart coordinates of every vertex (rows follow ``pm.settings``)."""
-    diffs = (pm.vertices - pm.vertices[pm.base_index]).reshape(pm.n_vertices, -1)
-    return _chart_solve(pm, diffs)[0]
+    """Chart coordinates of every vertex, row x for setting x (module notes)."""
+    return _chart_coordinates(pm, _vertex_weights(pm, np.arange(pm.n_vertices)))
 
 
-def _chart_solve(pm: PolytopeModel, diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares chart coordinates of one flattened difference from the
-    base, or of a stack of them, and the flattened directions."""
-    a = pm.directions.reshape(pm.dim, -1)
-    return np.linalg.solve(a @ a.T, a @ diffs.T).T, a
+def _vertex_weights(pm: PolytopeModel, x: np.ndarray) -> np.ndarray:
+    """Weights on the chart settings with |y| <= 2d that rebuild the vertices
+    ``x``: e_x for |x| <= 2d, else the closed form of the module notes."""
+    k, two_d = pm.model.k, 2 * pm.model.d
+    table = np.eye(k + 1)  # table[|x|, |y|]
+    for s in range(two_d + 1, k + 1):
+        table[s] = [(-1) ** (two_d - j) * math.comb(s - j - 1, two_d - j)
+                    if j <= two_d else 0.0 for j in range(k + 1)]
+    sizes, chart = _sizes(k), np.asarray(pm.settings)
+    c = table[sizes[x][:, None], sizes[chart]]
+    c *= (x[:, None] & chart) == chart
+    c *= intensities(pm.theta, pm.model)[x][:, None]
+    return np.divide(c, pm.intensities, out=c)
 
 
-def log_det_gradient_hessian(sl: LmiSlice, u) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value, gradient, and Hessian of u -> log det S(u) at a feasible point.
+def _chart_coordinates(pm: PolytopeModel, c: np.ndarray) -> np.ndarray:
+    """Chart coordinates from down-set weights ``c`` (..., dim + 1) and the witness."""
+    v = pm.hull_witness
+    if v is not None:
+        null = -_vertex_weights(pm, np.array([v]))[0]
+        null[pm.settings.index(v)] += 1.0  # e_V - c(V) rebuilds the zero matrix
+        c = c + (1.0 - c.sum(axis=-1))[..., None] / null.sum() * null
+    return c[..., 1:]
 
-    grad_i = tr(S^{-1} D_i) and hess_ij = -tr(S^{-1} D_i S^{-1} D_j).
-    Raises ``InfeasibleStart`` when S(u) is not positive definite.
-    """
-    s = sl.matrix(u)
+
+def _log_det_gradient(sl: LmiSlice, u) -> tuple[float, np.ndarray, np.ndarray]:
+    """log det S(u), its gradient diag(G)_i - diag(G)_0, and the factor
+    ``half`` = L^{-1} F^T Lambda^{1/2} of G = half^T half (module notes)."""
     try:
-        low = _cholesky(s)
+        low = _cholesky(sl.matrix(u))
     except np.linalg.LinAlgError as exc:
         raise InfeasibleStart("S(u) is not positive definite") from exc
     value = 2.0 * float(np.sum(np.log(np.diag(low))))
-    # K_i = low^{-1} D_i low^{-T}, by two solves batched over the directions.
-    # Not via inv(low): its rounding stalls the k=2, d=1 center at
-    # intensity 0.2 at max-iterations instead of converging.
-    t = np.linalg.solve(low, sl.directions)
-    kmats = np.linalg.solve(low, t.transpose(0, 2, 1)).transpose(0, 2, 1)
-    grad = np.einsum("ijj->i", kmats)
-    gram = np.einsum("aij,bij->ab", kmats, kmats)
-    return value, grad, -gram
+    # a solve, not inv(low): its rounding stalls the k=2, d=1 center at
+    # intensity 0.2 at max-iterations instead of converging
+    half = np.linalg.solve(low, sl.rows.T * np.sqrt(sl.intensities))
+    diag = np.einsum("ij,ij->j", half, half)
+    return value, diag[1:] - diag[0], half
+
+
+def log_det_gradient_hessian(sl: LmiSlice, u) -> tuple[float, np.ndarray, np.ndarray]:
+    """Value, gradient, and Hessian of u -> log det S(u) at a feasible point,
+    from G (see the module notes).  Raises ``InfeasibleStart`` when S(u) is
+    not positive definite."""
+    value, grad, half = _log_det_gradient(sl, u)
+    g2 = np.square(half.T @ half)
+    hess = g2[1:, 1:] - g2[1:, :1] - g2[:1, 1:] + g2[0, 0]
+    return value, grad, -hess
 
 
 def analytic_center(
@@ -213,20 +240,15 @@ def analytic_center(
     start: Sequence[float] | None = None,
     polytope: PolytopeModel | None = None,
 ) -> CenterResult:
-    """Damped Newton maximization of log det over the LMI slice.
+    """Damped Newton maximization of log det over the LMI slice (module notes).
 
-    The default start is the chart barycenter.  A ``polytope`` with a hull
-    witness is answered unbounded at the start, after 0 iterations.  Every
-    step is the Newton step scaled by 1 / (1 + lambda), with lambda^2 the
-    Newton decrement (see the module notes), for at most
-    ``CENTER_MAX_ITERATIONS`` steps.  The run converges once the decrement
-    of the step just taken is at most 8 eps max(1, |log det|), the
-    rounding level of log det.  A log det gain beyond ``LOG_DET_CEILING``
-    above the start is reported as unbounded, which on an unbounded slice
-    happens within 163 steps.  A Hessian whose negative has no Cholesky
-    factor raises ``NumericalCheckError`` naming the iteration.  When
-    ``polytope`` is given, membership of the center and its convex weights
-    are filled in on convergence.
+    The default start is the chart barycenter; a ``polytope`` with a hull
+    witness is answered unbounded there, after 0 iterations.  The run
+    converges once the decrement of the step just taken is at most
+    8 eps max(1, |log det|), the rounding level of log det.  A Hessian whose
+    negative has no Cholesky factor raises ``NumericalCheckError`` naming
+    the iteration.  When ``polytope`` is given, membership of the center
+    and its convex weights are filled in on convergence.
     """
     if start is None:
         u = np.full(sl.dim, 1.0 / (sl.dim + 1))
@@ -235,10 +257,12 @@ def analytic_center(
         if u.shape != (sl.dim,):
             raise ValueError(f"start has shape {u.shape}, chart has dim {sl.dim}")
 
-    value, grad, hess = log_det_gradient_hessian(sl, u)  # raises InfeasibleStart
-    start_value = value
-    # a hull witness answers unbounded at the start, with no Newton step
     witnessed = polytope is not None and polytope.hull_witness is not None
+    if witnessed:  # the slice is unbounded (module notes): no Hessian
+        value, grad, _ = _log_det_gradient(sl, u)  # raises InfeasibleStart
+    else:
+        value, grad, hess = log_det_gradient_hessian(sl, u)  # raises InfeasibleStart
+    start_value = value
     status = CenterStatus.UNBOUNDED if witnessed else CenterStatus.MAX_ITERATIONS
     iterations = 0
     for iterations in range(1, 1 + (0 if witnessed else CENTER_MAX_ITERATIONS)):
@@ -261,78 +285,59 @@ def analytic_center(
             status = CenterStatus.UNBOUNDED
             break
 
-    inside: bool | None = None
-    weights = None
+    inside = weights = None
     if polytope is not None and status is CenterStatus.CONVERGED:
         membership = polytope_membership(polytope, u)
-        inside = membership.inside
-        weights = membership.weights
+        inside, weights = membership.inside, membership.weights
     return CenterResult(
-        coordinates=u,
-        matrix=sl.matrix(u),
-        log_det=value,
-        status=status,
-        gradient_norm=float(np.linalg.norm(grad)),
-        iterations=iterations,
-        inside_polytope=inside,
-        weights=weights,
+        coordinates=u, matrix=sl.matrix(u), log_det=value, status=status,
+        gradient_norm=float(np.linalg.norm(grad)), iterations=iterations,
+        inside_polytope=inside, weights=weights,
     )
 
 
 def polytope_membership(pm: PolytopeModel, point) -> MembershipResult:
     """Test whether a point is a convex combination of the vertices.
 
-    ``point`` is either chart coordinates or a p x p matrix (projected to
-    the chart first; off-hull matrices raise ``NotInAffineHull``).  When
-    the vertex count is dim + 1 the polytope is a simplex and membership
-    is a barycentric sign check; otherwise a nonnegative least-squares
-    solve finds weights.  Both use ``MEMBERSHIP_TOL``: a barycentric
-    weight may fall to minus it, and the NNLS residual may reach it.
+    ``point`` is chart coordinates or a p x p matrix, whose coordinates come
+    from its moments (module notes); a matrix that they do not rebuild to
+    ``MEMBERSHIP_TOL`` raises ``NotInAffineHull``.  A simplex (dim + 1
+    vertices) is decided by the sign of the barycentric weights, down to
+    minus ``MEMBERSHIP_TOL``; otherwise by a nonnegative least-squares solve
+    whose residual may reach it.
     """
     point = np.asarray(point, dtype=float)
     if point.ndim == 2:
-        rhs = (point - pm.vertices[pm.base_index]).ravel()
-        u, a = _chart_solve(pm, rhs)
-        residual = np.linalg.norm(a.T @ u - rhs)
-        if residual > MEMBERSHIP_TOL * max(1.0, np.linalg.norm(rhs)):
-            raise NotInAffineHull(f"projection residual {residual:.3e} exceeds"
+        # superset Moebius transform on the down-set, in reversed mask order
+        moments = np.zeros(pm.n_vertices)
+        moments[union_index(pm.model)] = point
+        down = np.where(_sizes(pm.model.k)[::-1] <= 2 * pm.model.d, moments[::-1], 0.0)
+        u = _chart_coordinates(pm, mobius(down)[::-1][list(pm.settings)] / pm.intensities)
+        sl = lmi_slice(pm)
+        residual = np.linalg.norm(sl.matrix(u) - point)
+        if residual > MEMBERSHIP_TOL * max(1.0, np.linalg.norm(point - sl.matrix(0 * u))):
+            raise NotInAffineHull(f"chart residual {residual:.3e} exceeds"
                                   f" tolerance {MEMBERSHIP_TOL:.0e}")
     else:
         if point.shape != (pm.dim,):
             raise ValueError(f"coordinates have shape {point.shape}, chart dim {pm.dim}")
         u = point.copy()
 
-    if pm.n_vertices == pm.dim + 1:
-        bary = np.empty(pm.n_vertices)
-        bary[0] = 1.0 - float(np.sum(u))
-        bary[1:] = u
-        inside = bool(bary.min() >= -MEMBERSHIP_TOL)
-        weights = None
-        if inside:
-            clipped = np.clip(bary, 0.0, None)
-            clipped /= clipped.sum()
-            weights = {
-                x: float(v) for x, v in zip(pm.settings, clipped) if v > 0.0
-            }
-        return MembershipResult(inside, weights, 0.0, u)
+    if pm.n_vertices == pm.dim + 1:  # the chart is every setting, in mask order
+        solution, residual = np.concatenate([[1.0 - u.sum()], u]), 0.0
+        inside = bool(solution.min() >= -MEMBERSHIP_TOL)
+        solution = np.clip(solution, 0.0, None)
+    else:
+        # Imported here, not at module level: scipy.optimize is slow to load
+        # and only this branch needs it, so importing the package stays cheap.
+        from scipy.optimize import nnls
 
-    # Imported here, not at module level: scipy.optimize is slow to load
-    # and only this branch needs it, so importing the package stays cheap.
-    from scipy.optimize import nnls
-
-    system = np.vstack([vertex_coordinates(pm).T, np.ones(pm.n_vertices)])
-    rhs = np.concatenate([u, [1.0]])
-    solution, residual = nnls(system, rhs)
-    inside = bool(residual <= MEMBERSHIP_TOL)
-    weights = None
-    if inside:
-        total = solution.sum()
-        weights = {
-            x: float(v / total)
-            for x, v in zip(pm.settings, solution)
-            if v > 0.0
-        }
-    return MembershipResult(inside, weights, float(residual), u)
+        system = np.vstack([vertex_coordinates(pm).T, np.ones(pm.n_vertices)])
+        solution, residual = nnls(system, np.concatenate([u, [1.0]]))
+        inside = bool(residual <= MEMBERSHIP_TOL)
+    total = solution.sum()
+    weights = {x: float(v / total) for x, v in enumerate(solution) if v > 0.0}
+    return MembershipResult(inside, weights if inside else None, float(residual), u)
 
 
 @dataclass(frozen=True, eq=False)

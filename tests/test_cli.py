@@ -21,6 +21,8 @@ import raschdesign as rd
 from raschdesign.cli import main
 from raschdesign.regions import THEOREM_TOL
 
+from conftest import dense_vertices
+
 
 @pytest.fixture
 def runner():
@@ -695,10 +697,13 @@ class TestCenterPath:
         m = rd.InteractionModel(3, 1)
         assert [entry["param"] for entry in dump] == lambdas
         for lam, entry in zip(lambdas, dump):
-            sl = rd.lmi_slice(rd.polytope_vertices(rd.ParameterVector.symmetric(m, lam), m))
-            assert entry["labels"] == list(sl.labels)
-            np.testing.assert_array_equal(entry["base"], sl.base)
-            np.testing.assert_array_equal(entry["directions"], sl.directions)
+            theta = rd.ParameterVector.symmetric(m, lam)
+            pm = rd.polytope_vertices(theta, m)
+            assert entry["labels"] == list(rd.lmi_slice(pm).labels)
+            vertices = dense_vertices(pm)
+            np.testing.assert_array_equal(entry["base"], vertices[0])
+            np.testing.assert_array_equal(
+                entry["directions"], vertices[list(pm.settings[1:])] - vertices[0])
         assert [len(entry["directions"]) for entry in dump] == [6, 7, 7]
 
     def test_exit_flag_printed(self, runner, tmp_path):

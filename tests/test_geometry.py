@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,8 @@ from numpy.testing import assert_allclose
 
 import raschdesign as rd
 from raschdesign import CenterStatus
+
+from conftest import dense_vertices
 
 
 def two_rule_model(lam1, lam2):
@@ -48,27 +51,33 @@ class TestPolytopeVertices:
         m, theta = two_rule_model(0.7, 0.4)
         pm = rd.polytope_vertices(theta, m)
         assert pm.n_vertices == 4
-        assert pm.base_index == 0
-        assert_allclose(pm.vertices[0], np.diag([1.0, 0.0, 0.0]), atol=1e-15)
+        assert pm.settings == (0, 1, 2, 3)
+        assert_allclose(pm.intensities, [1.0, 0.7, 0.4, 0.7 * 0.4], rtol=1e-12)
+        vertices = dense_vertices(pm)
+        assert_allclose(vertices[0], np.diag([1.0, 0.0, 0.0]), atol=1e-15)
         assert_allclose(
-            pm.vertices[1],
+            vertices[1],
             0.7 * np.array([[1, 1, 0], [1, 1, 0], [0, 0, 0]], dtype=float),
             rtol=1e-12,
         )
-        assert_allclose(pm.vertices[3], 0.7 * 0.4 * np.ones((3, 3)), rtol=1e-12)
+        assert_allclose(vertices[3], 0.7 * 0.4 * np.ones((3, 3)), rtol=1e-12)
+        sl = rd.lmi_slice(pm)
+        for x, u in enumerate(np.vstack([np.zeros(3), np.eye(3)])):
+            assert_allclose(sl.matrix(u), vertices[x], rtol=1e-12, atol=1e-15)
 
     def test_simplex_dimension(self):
         m, theta = two_rule_model(0.55, 0.85)
         pm = rd.polytope_vertices(theta, m)
         assert pm.dim == 3
-        assert pm.direction_settings == (1, 2, 3)
+        assert pm.settings == (0, 1, 2, 3)
 
     def test_vertices_are_rank_one(self):
         rng = np.random.default_rng(8)
         m = rd.InteractionModel(3, 2)
         theta = rd.ParameterVector(m, rng.normal(size=m.p))
-        pm = rd.polytope_vertices(theta, m)
-        for v in pm.vertices:
+        sl = rd.lmi_slice(rd.polytope_vertices(theta, m))
+        for u in np.vstack([np.zeros(sl.dim), np.eye(sl.dim)]):
+            v = sl.matrix(u)
             assert np.linalg.matrix_rank(v, tol=1e-10) == 1
             assert np.linalg.eigvalsh(v).min() >= -1e-12
 
@@ -86,8 +95,9 @@ class TestPolytopeVertices:
     def test_directions_linearly_independent(self):
         m = rd.InteractionModel(3, 1)
         theta = rd.ParameterVector.symmetric(m, 0.6)
-        pm = rd.polytope_vertices(theta, m)
-        flat = pm.directions.reshape(pm.dim, -1)
+        sl = rd.lmi_slice(rd.polytope_vertices(theta, m))
+        flat = np.stack([(sl.matrix(u) - sl.matrix(np.zeros(sl.dim))).ravel()
+                         for u in np.eye(sl.dim)])
         gram = flat @ flat.T
         assert np.linalg.cond(gram) < 1e10
 
@@ -135,8 +145,9 @@ def assert_hull_certificate(pm):
     c = np.array([(-1) ** bin(v ^ x).count("1") / (lam[x] * gamma) for x in subsets])
     eps = sys.float_info.epsilon
     assert abs(c.sum() - 1.0) <= 2 * k * eps * np.abs(c).sum()
-    residual = np.abs(np.tensordot(c, pm.vertices[subsets], axes=1)).max()
-    scale = sum(abs(cx) * np.abs(pm.vertices[x]).max() for cx, x in zip(c, subsets))
+    vertices = dense_vertices(pm)
+    residual = np.abs(np.tensordot(c, vertices[subsets], axes=1)).max()
+    scale = sum(abs(cx) * np.abs(vertices[x]).max() for cx, x in zip(c, subsets))
     assert residual <= 4 * eps * scale
 
 
@@ -157,7 +168,7 @@ class TestLatticeChart:
             st.lists(FRACTIONS, min_size=m.p - 1, max_size=m.p - 1), label="q")
         pm = rd.polytope_vertices(theta_of(m, q), m)
         kept, n_unions = exact_chart(m, q)
-        assert pm.direction_settings == kept
+        assert pm.settings == (0, *kept)
         assert (pm.hull_witness is not None) == (len(kept) == n_unions)
         if pm.hull_witness is not None:
             assert_hull_certificate(pm)
@@ -174,7 +185,7 @@ class TestLatticeChart:
         q = [Fraction(1)] + [s if len(a) == 1 else t for a in m.subsets[1:]]
         pm = rd.polytope_vertices(theta_of(m, q), m)
         kept, n_unions = exact_chart(m, q)
-        assert pm.direction_settings == kept
+        assert pm.settings == (0, *kept)
         assert len(kept) == n_unions
         assert pm.hull_witness == (1 << 5) - 1
         assert_hull_certificate(pm)
@@ -215,7 +226,7 @@ class TestLmiSlice:
         for i in range(3):
             u = np.zeros(3)
             u[i] = 1.0
-            assert_allclose(sl.matrix(u), pm.vertices[i + 1], atol=1e-12)
+            assert_allclose(sl.matrix(u), dense_vertices(pm)[i + 1], atol=1e-12)
 
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -355,10 +366,10 @@ class TestAnalyticCenter:
         assert_allclose(res.coordinates, np.full(31, 1 / 32))
 
     def test_singular_hessian_raises_numerical_check_error(self):
-        # two equal directions make -H singular at every point
-        base = np.eye(2)
-        direction = np.array([[1.0, 0.0], [0.0, -1.0]])
-        sl = rd.LmiSlice(base, np.stack([direction, direction]), ("a", "b"))
+        # a chart with one setting repeated has two equal directions, which
+        # make -H singular at every point
+        rows = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+        sl = rd.LmiSlice(rows, np.ones(3), ("a", "b"))
         with pytest.raises(rd.NumericalCheckError, match=r"Newton iteration 1\b"):
             rd.analytic_center(sl, start=[0.1, 0.1])
 
@@ -379,6 +390,54 @@ class TestAnalyticCenter:
         res = self.cold_center(k, 1, lam)
         assert res.status is CenterStatus.UNBOUNDED
         assert res.iterations <= 163
+
+    def test_witness_forms_no_hessian(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a witnessed slice formed the Hessian")
+
+        monkeypatch.setattr(rd.geometry, "log_det_gradient_hessian", refuse)
+        res = self.cold_center(5, 2, 0.95)
+        assert res.status is CenterStatus.UNBOUNDED
+        assert res.iterations == 0
+
+    def test_witnessed_slice_at_k20(self):
+        # 6197 chart settings: the rows are 10 MB, where the regression
+        # matrix of all 2^20 settings is 1.8 GB and the n x n matrix G 307 MB
+        m = rd.InteractionModel(20, 2)
+        pm = rd.polytope_vertices(rd.ParameterVector.symmetric(m, 0.5), m)
+        assert pm.rows.shape == (6197, m.p)
+        assert pm.hull_witness == 31
+        res = rd.analytic_center(rd.lmi_slice(pm), polytope=pm)
+        assert res.status is CenterStatus.UNBOUNDED
+        assert res.iterations == 0
+        assert np.isfinite(res.log_det) and np.isfinite(res.gradient_norm)
+
+
+class TestSaturatedCrossCertificate:
+    """For k <= 2d the chart is every vertex and d_x = p at the center, so
+    the center is the D-optimal design exactly when its weights c are >= 0."""
+
+    @pytest.mark.parametrize("k, d", [(2, 1), (4, 2), (6, 3)])
+    @pytest.mark.parametrize("lam", [0.5, 0.9, 1.3, 2.0])
+    def test_center_is_the_optimal_design(self, k, d, lam):
+        m = rd.InteractionModel(k, d)
+        theta = rd.ParameterVector.symmetric(m, lam)
+        pm = rd.polytope_vertices(theta, m)
+        res = rd.analytic_center(rd.lmi_slice(pm), polytope=pm)
+        opt = rd.optimize_design(theta, m)
+        assert res.inside_polytope
+        assert opt.converged
+        for x in range(1 << k):
+            assert abs(res.weights.get(x, 0.0) - opt.design.weights.get(x, 0.0)) <= 1e-6
+        assert_allclose(res.log_det, opt.log_det, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("k, d", [(2, 1), (4, 2), (6, 3)])
+    def test_center_leaves_below_the_transition(self, k, d):
+        m = rd.InteractionModel(k, d)
+        pm = rd.polytope_vertices(rd.ParameterVector.symmetric(m, 0.3), m)
+        res = rd.analytic_center(rd.lmi_slice(pm), polytope=pm)
+        assert res.status is CenterStatus.CONVERGED
+        assert res.inside_polytope is False
 
 
 class TestMembership:
@@ -404,14 +463,14 @@ class TestMembership:
     def test_vertex_is_inside_with_unit_weight(self):
         m, theta = two_rule_model(0.75, 0.3)
         pm = rd.polytope_vertices(theta, m)
-        mem = rd.polytope_membership(pm, pm.vertices[2])
+        mem = rd.polytope_membership(pm, dense_vertices(pm)[2])
         assert mem.inside
         assert_allclose(mem.weights[2], 1.0, atol=1e-9)
 
     def test_matrix_off_affine_hull_rejected(self):
         m, theta = two_rule_model(0.5, 0.5)
         pm = rd.polytope_vertices(theta, m)
-        bad = pm.vertices[0] + np.diag([0.0, 1.0, -1.0])  # breaks slice structure
+        bad = dense_vertices(pm)[0] + np.diag([0.0, 1.0, -1.0])  # breaks slice structure
         with pytest.raises(rd.NotInAffineHull):
             rd.polytope_membership(pm, bad)
 
@@ -429,9 +488,8 @@ class TestMembership:
         assert mem.inside
         total = sum(mem.weights.values())
         assert_allclose(total, 1.0, atol=1e-8)
-        recombined = sum(
-            w * pm.vertices[x] for x, w in mem.weights.items()
-        )
+        vertices = dense_vertices(pm)
+        recombined = sum(w * vertices[x] for x, w in mem.weights.items())
         assert_allclose(recombined, mixture, atol=1e-7)
 
     def test_center_inside_near_unit_intensity(self):
@@ -452,6 +510,49 @@ class TestMembership:
         outside = coords.mean(axis=0) * 5.0
         mem = rd.polytope_membership(pm, outside)
         assert not mem.inside
+
+    @pytest.mark.parametrize("k, d, lam", [
+        (7, 3, 0.9),  # a witnessed simplex: the normal equations read a weight -0.008
+        (8, 3, 1.3),  # the normal equations left a residual of 6e-7
+        (8, 4, None),  # seeded theta: the normal equations read weights below 0
+    ])
+    def test_mixture_of_every_vertex_is_inside(self, k, d, lam):
+        m = rd.InteractionModel(k, d)
+        if lam is None:
+            theta = rd.ParameterVector(m, np.random.default_rng(2).normal(0, 0.8, m.p))
+        else:
+            theta = rd.ParameterVector.symmetric(m, lam)
+        pm = rd.polytope_vertices(theta, m)
+        vertices = dense_vertices(pm)
+        weights = np.random.default_rng(1).dirichlet(np.ones(pm.n_vertices))
+        mem = rd.polytope_membership(pm, np.tensordot(weights, vertices, axes=1))
+        assert mem.inside
+
+        coords = rd.vertex_coordinates(pm)
+        sl = rd.lmi_slice(pm)
+        for u, vertex in zip(coords, vertices):
+            assert np.abs(sl.matrix(u) - vertex).max() <= 1e-12 * np.abs(vertex).max()
+        # the oracle: least squares on the dense chart's flattened directions,
+        # whose condition number reaches 8e10 at (8,4), where it misses by 2.5e-7
+        flat = (vertices - vertices[0]).reshape(pm.n_vertices, -1)
+        oracle = np.linalg.lstsq(flat[list(pm.settings[1:])].T, flat.T, rcond=0)[0].T
+        assert_allclose(coords, oracle, rtol=0, atol=1e-6 * np.abs(oracle).max())
+
+
+    def test_vertex_coordinates_allocate_only_the_chart_columns(self):
+        # (14,1) at lambda = 1 takes the NNLS branch; its 2^14 x 106 result
+        # is 14 MB, where one 2^k x 2^k array over the whole lattice is 2.1 GB
+        m = rd.InteractionModel(14, 1)
+        pm = rd.polytope_vertices(rd.ParameterVector.symmetric(m, 1.0), m)
+        assert pm.hull_witness is None
+        tracemalloc.start()
+        try:
+            coords = rd.vertex_coordinates(pm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert coords.shape == (pm.n_vertices, pm.dim)
+        assert peak <= 3 * pm.n_vertices * (pm.dim + 1) * 8
 
 
 class TestCenterPath:
@@ -485,7 +586,8 @@ class TestCenterPath:
         for row, (_, theta) in zip(rd.center_path(pairs, m).rows, pairs):
             fresh = rd.lmi_slice(rd.polytope_vertices(theta, m))
             assert row.lmi.labels == fresh.labels
-            np.testing.assert_array_equal(row.lmi.directions, fresh.directions)
+            np.testing.assert_array_equal(row.lmi.rows, fresh.rows)
+            np.testing.assert_array_equal(row.lmi.intensities, fresh.intensities)
             np.testing.assert_array_equal(
                 row.result.matrix, row.lmi.matrix(row.result.coordinates)
             )
