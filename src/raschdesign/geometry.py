@@ -30,8 +30,13 @@ point's moments (its entries at A|B = U) on the down-set |U| <= 2d, over
 lambda, gives its weights c on the settings |y| <= 2d; for a vertex x with
 |x| > 2d, c_y = (lambda_x / lambda_y) (-1)^(2d - |y|) C(|x| - |y| - 1,
 2d - |y|) on the subsets y of x.  A witness V adds t (e_V - c(V)), which
-rebuilds 0, with t = (1 - sum c) / (1 - sum c(V)).  Membership decides at
-``MEMBERSHIP_TOL``.
+rebuilds 0, with t = (1 - sum c) / (1 - sum c(V)).
+
+On a simplex chart (dim + 1 = 2^k) a point is in the polytope P when
+c = (1 - sum u, u) >= 0.  Beyond it the equivalence theorem (Kiefer &
+Wolfowitz 1960) decides only the analytic center S*: P lies in the slice and
+log det is strictly concave, so S* is in P exactly when log det S* = max_P
+log det, which every design w brackets in [L, L + max d - p], L = log det M(w).
 
 The center is found by damped Newton steps from the chart barycenter
 u_i = 1 / (dim + 1), the uniform design on the chart settings, which hold
@@ -70,8 +75,9 @@ from .model import (
     regression_matrix,
     setting_string,
 )
+from .optimizer import MAX_ITERATIONS, optimize_design
 
-#: Feasibility tolerance of the convex-combination membership solver.
+#: Tolerance of membership: on the simplex weights c, or relative on log det.
 MEMBERSHIP_TOL = 1e-8
 #: Newton steps ``analytic_center`` takes at most.
 CENTER_MAX_ITERATIONS = 200
@@ -144,7 +150,6 @@ class CenterResult:
 class MembershipResult:
     inside: bool
     weights: dict[int, float] | None
-    residual: float
     coordinates: np.ndarray
 
 
@@ -235,28 +240,16 @@ def log_det_gradient_hessian(sl: LmiSlice, u) -> tuple[float, np.ndarray, np.nda
     return value, grad, -hess
 
 
-def analytic_center(
-    sl: LmiSlice,
-    start: Sequence[float] | None = None,
-    polytope: PolytopeModel | None = None,
-) -> CenterResult:
-    """Damped Newton maximization of log det over the LMI slice (module notes).
-
-    The default start is the chart barycenter; a ``polytope`` with a hull
-    witness is answered unbounded there, after 0 iterations.  The run
-    converges once the decrement of the step just taken is at most
-    8 eps max(1, |log det|), the rounding level of log det.  A Hessian whose
-    negative has no Cholesky factor raises ``NumericalCheckError`` naming
-    the iteration.  When ``polytope`` is given, membership of the center
-    and its convex weights are filled in on convergence.
+def analytic_center(sl: LmiSlice, polytope: PolytopeModel | None = None) -> CenterResult:
+    """Damped Newton maximization of log det over the LMI slice, from the
+    chart barycenter (module notes).  The run converges once the decrement
+    of the step just taken is at most 8 eps max(1, |log det|), the rounding
+    level of log det.  A Hessian whose negative has no Cholesky factor
+    raises ``NumericalCheckError`` naming the iteration.  When ``polytope``
+    is given, membership of the center and its convex weights are filled in
+    on convergence.
     """
-    if start is None:
-        u = np.full(sl.dim, 1.0 / (sl.dim + 1))
-    else:
-        u = np.asarray(start, dtype=float).copy()
-        if u.shape != (sl.dim,):
-            raise ValueError(f"start has shape {u.shape}, chart has dim {sl.dim}")
-
+    u = np.full(sl.dim, 1.0 / (sl.dim + 1))
     witnessed = polytope is not None and polytope.hull_witness is not None
     if witnessed:  # the slice is unbounded (module notes): no Hessian
         value, grad, _ = _log_det_gradient(sl, u)  # raises InfeasibleStart
@@ -301,10 +294,10 @@ def polytope_membership(pm: PolytopeModel, point) -> MembershipResult:
 
     ``point`` is chart coordinates or a p x p matrix, whose coordinates come
     from its moments (module notes); a matrix that they do not rebuild to
-    ``MEMBERSHIP_TOL`` raises ``NotInAffineHull``.  A simplex (dim + 1
-    vertices) is decided by the sign of the barycentric weights, down to
-    minus ``MEMBERSHIP_TOL``; otherwise by a nonnegative least-squares solve
-    whose residual may reach it.
+    ``MEMBERSHIP_TOL`` raises ``NotInAffineHull``.  Beyond a simplex a point
+    above an optimizer iterate's bracket is outside, the center within a
+    converged run's bracket is inside with that design as its weights, and
+    any other point raises ``ValueError`` (module notes).
     """
     point = np.asarray(point, dtype=float)
     if point.ndim == 2:
@@ -324,20 +317,26 @@ def polytope_membership(pm: PolytopeModel, point) -> MembershipResult:
         u = point.copy()
 
     if pm.n_vertices == pm.dim + 1:  # the chart is every setting, in mask order
-        solution, residual = np.concatenate([[1.0 - u.sum()], u]), 0.0
-        inside = bool(solution.min() >= -MEMBERSHIP_TOL)
-        solution = np.clip(solution, 0.0, None)
-    else:
-        # Imported here, not at module level: scipy.optimize is slow to load
-        # and only this branch needs it, so importing the package stays cheap.
-        from scipy.optimize import nnls
+        c = np.concatenate([[1.0 - u.sum()], u])
+        if c.min() < -MEMBERSHIP_TOL:
+            return MembershipResult(False, None, u)
+        c /= np.clip(c, 0.0, None, out=c).sum()
+        return MembershipResult(True, {x: float(v) for x, v in enumerate(c) if v > 0.0}, u)
 
-        system = np.vstack([vertex_coordinates(pm).T, np.ones(pm.n_vertices)])
-        solution, residual = nnls(system, np.concatenate([u, [1.0]]))
-        inside = bool(residual <= MEMBERSHIP_TOL)
-    total = solution.sum()
-    weights = {x: float(v / total) for x, v in enumerate(solution) if v > 0.0}
-    return MembershipResult(inside, weights if inside else None, float(residual), u)
+    try:
+        value = 2.0 * float(np.sum(np.log(np.diag(_cholesky(lmi_slice(pm).matrix(u))))))
+    except np.linalg.LinAlgError:  # S(u) is not positive definite: not the center
+        value = -math.inf
+    for budget in (1, MAX_ITERATIONS):  # iterate 1 settles a point far from the maximum
+        opt = optimize_design(pm.theta, pm.model, budget)
+        tol = MEMBERSHIP_TOL * max(1.0, abs(opt.log_det))
+        if value > opt.log_det + (opt.final_kw_max - pm.model.p) + tol:
+            return MembershipResult(False, None, u)
+        if value < opt.log_det - tol:
+            raise ValueError("beyond a simplex only the slice's analytic center is decided")
+        if opt.converged:
+            return MembershipResult(True, dict(opt.design.weights), u)
+    raise NumericalCheckError(f"optimizer did not converge in {MAX_ITERATIONS} iterations")
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,8 +358,7 @@ def center_path(
     thetas: Sequence[tuple[float, ParameterVector]],
     m: InteractionModel,
 ) -> CenterPathResult:
-    """Analytic centers along a parameter family, each run started at its
-    chart barycenter."""
+    """Analytic centers along a parameter family."""
     if not thetas:
         raise ValueError("empty parameter grid")
     rows = []

@@ -59,7 +59,7 @@ def reference_values(theta):
 
 
 def test_import_loads_no_scipy():
-    # scipy is slow to import; only the NNLS membership test may load it
+    # scipy is slow to import, and the package needs none of it
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -606,6 +606,21 @@ class TestCertify:
 
 
 class TestCenterPath:
+    def test_membership_beyond_simplex_runs_without_scipy(self, fresh_python, tmp_path):
+        # theta = 0 at (6,2): 57 chart settings of 64 and no witness, so the
+        # center's membership is decided by the equivalence theorem
+        code = (
+            "import sys; sys.modules['scipy'] = None; "
+            "from raschdesign.cli import main; "
+            "main(['center-path', '--k', '6', '--d', '2', '--lambdas', '1',"
+            " '--out', 'path.csv'])"
+        )
+        proc = fresh_python("-c", code, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        rows = (tmp_path / "path.csv").read_text().splitlines()[1:]
+        assert len(rows) == 1
+        assert rows[0].split(",")[-2:] == ["converged", "true"]
+
     @pytest.mark.parametrize("lam", ["1e-200", "1e-155"])
     def test_underflowing_intensity_exit_1(self, fresh_python, tmp_path, lam):
         # lambda_11 = lam^2 is 0 or subnormal; a fresh process shows any RuntimeWarning

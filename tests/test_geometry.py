@@ -283,7 +283,7 @@ class TestAnalyticCenter:
         m, theta = two_rule_model(0.5, 0.5)
         sl = rd.lmi_slice(rd.polytope_vertices(theta, m))
         with pytest.raises(rd.InfeasibleStart):
-            rd.analytic_center(sl, start=[5.0, 5.0, -9.0])
+            rd.log_det_gradient_hessian(sl, [5.0, 5.0, -9.0])
 
     def test_global_maximality_spot_check(self):
         rng = np.random.default_rng(21)
@@ -367,11 +367,13 @@ class TestAnalyticCenter:
 
     def test_singular_hessian_raises_numerical_check_error(self):
         # a chart with one setting repeated has two equal directions, which
-        # make -H singular at every point
+        # make -H singular at every point; at the barycenter
+        # S = [[1, 2/3], [2/3, 2/3]] is positive definite
         rows = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         sl = rd.LmiSlice(rows, np.ones(3), ("a", "b"))
+        assert_allclose(sl.matrix([1 / 3, 1 / 3]), [[1, 2 / 3], [2 / 3, 2 / 3]])
         with pytest.raises(rd.NumericalCheckError, match=r"Newton iteration 1\b"):
-            rd.analytic_center(sl, start=[0.1, 0.1])
+            rd.analytic_center(sl)
 
     def test_converged_centers_are_stationary_on_a_grid(self):
         for k in (2, 3, 4):
@@ -474,23 +476,44 @@ class TestMembership:
         with pytest.raises(rd.NotInAffineHull):
             rd.polytope_membership(pm, bad)
 
-    def test_nnls_route_beyond_simplex(self):
-        # k=4 independence model: 16 vertices over a 10-dimensional hull,
-        # so membership goes through the nonnegative least-squares path
+    def test_center_beyond_simplex_takes_the_optimizer_design(self):
+        # k=4 independence model at theta = 0: 16 vertices over a
+        # 10-dimensional hull and no witness, so the equivalence theorem
+        # decides the center, and its weights are the optimizer's design
         m = rd.InteractionModel(4, 1)
-        theta = rd.ParameterVector.symmetric(m, 0.7)
+        theta = rd.ParameterVector.zeros(m)
         pm = rd.polytope_vertices(theta, m)
-        assert pm.n_vertices > pm.dim + 1
-        mixture = rd.fisher_information(
-            rd.Design.uniform(4), theta, m
-        )
-        mem = rd.polytope_membership(pm, mixture)
-        assert mem.inside
-        total = sum(mem.weights.values())
+        assert pm.n_vertices > pm.dim + 1 and pm.hull_witness is None
+        res = rd.analytic_center(rd.lmi_slice(pm), polytope=pm)
+        assert res.inside_polytope
+        assert res.weights == dict(rd.optimize_design(theta, m).design.weights)
+        total = sum(res.weights.values())
         assert_allclose(total, 1.0, atol=1e-8)
         vertices = dense_vertices(pm)
-        recombined = sum(w * vertices[x] for x, w in mem.weights.items())
-        assert_allclose(recombined, mixture, atol=1e-7)
+        recombined = sum(w * vertices[x] for x, w in res.weights.items())
+        assert_allclose(recombined, res.matrix, atol=1e-7)
+
+    @pytest.mark.parametrize("as_matrix", [False, True])
+    def test_mixture_beyond_simplex_is_undecided(self, as_matrix):
+        # a Dirichlet mixture of every vertex is in the polytope, but its log
+        # det is below the maximum, where the theorem says nothing
+        m = rd.InteractionModel(4, 1)
+        pm = rd.polytope_vertices(rd.ParameterVector.zeros(m), m)
+        assert pm.n_vertices > pm.dim + 1
+        weights = np.random.default_rng(3).dirichlet(np.ones(pm.n_vertices))
+        if as_matrix:
+            point = np.tensordot(weights, dense_vertices(pm), axes=1)
+        else:
+            point = weights @ rd.vertex_coordinates(pm)
+        with pytest.raises(ValueError, match="only the slice's analytic center") as info:
+            rd.polytope_membership(pm, point)
+        assert not isinstance(info.value, rd.NotInAffineHull)
+
+    def test_non_positive_definite_point_beyond_simplex_is_undecided(self):
+        m = rd.InteractionModel(4, 1)
+        pm = rd.polytope_vertices(rd.ParameterVector.zeros(m), m)
+        with pytest.raises(ValueError, match="only the slice's analytic center"):
+            rd.polytope_membership(pm, np.full(pm.dim, -1.0))
 
     def test_center_inside_near_unit_intensity(self):
         # near intensity 1 the spectrahedron hugs the polytope from outside,
@@ -502,18 +525,34 @@ class TestMembership:
             res = rd.analytic_center(rd.lmi_slice(pm), polytope=pm)
             assert res.inside_polytope
 
-    def test_far_point_outside_by_nnls(self):
+    def test_far_point_outside_by_the_equivalence_theorem(self):
+        # the hull holds 0, so 5 M lies in the slice for any mixture M; its
+        # log det, p ln 5 above M's, exceeds the polytope's maximum
         m = rd.InteractionModel(4, 1)
         theta = rd.ParameterVector.symmetric(m, 0.7)
         pm = rd.polytope_vertices(theta, m)
-        coords = rd.vertex_coordinates(pm)
-        outside = coords.mean(axis=0) * 5.0
+        assert pm.hull_witness is not None and pm.n_vertices > pm.dim + 1
+        outside = 5.0 * rd.fisher_information(rd.Design.uniform(4), theta, m)
         mem = rd.polytope_membership(pm, outside)
         assert not mem.inside
+        assert mem.weights is None
+
+    def test_center_outside_beyond_simplex(self):
+        # (3,1) with beta_1 = 0 has no witness and 8 vertices over a
+        # 7-dimensional hull; the center's log det is 0.72 above the maximum
+        m = rd.InteractionModel(3, 1)
+        theta = rd.ParameterVector(m, np.array([0.0, 0.0, -1.5, -1.2]))
+        pm = rd.polytope_vertices(theta, m)
+        assert pm.hull_witness is None and pm.n_vertices > pm.dim + 1
+        res = rd.analytic_center(rd.lmi_slice(pm), polytope=pm)
+        opt = rd.optimize_design(theta, m)
+        assert res.status is CenterStatus.CONVERGED
+        assert res.inside_polytope is False and res.weights is None
+        assert res.log_det - opt.log_det > 0.7
 
     @pytest.mark.parametrize("k, d, lam", [
         (7, 3, 0.9),  # a witnessed simplex: the normal equations read a weight -0.008
-        (8, 3, 1.3),  # the normal equations left a residual of 6e-7
+        (8, 3, 1.3),  # not a simplex: the normal equations left a residual of 6e-7
         (8, 4, None),  # seeded theta: the normal equations read weights below 0
     ])
     def test_mixture_of_every_vertex_is_inside(self, k, d, lam):
@@ -525,8 +564,12 @@ class TestMembership:
         pm = rd.polytope_vertices(theta, m)
         vertices = dense_vertices(pm)
         weights = np.random.default_rng(1).dirichlet(np.ones(pm.n_vertices))
-        mem = rd.polytope_membership(pm, np.tensordot(weights, vertices, axes=1))
-        assert mem.inside
+        mixture = np.tensordot(weights, vertices, axes=1)
+        if pm.n_vertices == pm.dim + 1:
+            assert rd.polytope_membership(pm, mixture).inside
+        else:  # beyond a simplex the theorem decides only the center
+            with pytest.raises(ValueError, match="only the slice's analytic center"):
+                rd.polytope_membership(pm, mixture)
 
         coords = rd.vertex_coordinates(pm)
         sl = rd.lmi_slice(pm)
@@ -540,8 +583,8 @@ class TestMembership:
 
 
     def test_vertex_coordinates_allocate_only_the_chart_columns(self):
-        # (14,1) at lambda = 1 takes the NNLS branch; its 2^14 x 106 result
-        # is 14 MB, where one 2^k x 2^k array over the whole lattice is 2.1 GB
+        # (14,1) at lambda = 1 has no witness; the 2^14 x 106 result is
+        # 14 MB, where one 2^k x 2^k array over the whole lattice is 2.1 GB
         m = rd.InteractionModel(14, 1)
         pm = rd.polytope_vertices(rd.ParameterVector.symmetric(m, 1.0), m)
         assert pm.hull_witness is None
@@ -553,6 +596,46 @@ class TestMembership:
             tracemalloc.stop()
         assert coords.shape == (pm.n_vertices, pm.dim)
         assert peak <= 3 * pm.n_vertices * (pm.dim + 1) * 8
+
+
+def dependent_points():
+    """theta = 0 at four orders, then (k,1) with some beta_i = 0, which
+    leaves gamma_V = 0 on every V holding such a rule."""
+    for k, d in [(4, 1), (5, 2), (6, 2), (8, 3)]:
+        m = rd.InteractionModel(k, d)
+        yield rd.ParameterVector.zeros(m)
+    rng = np.random.default_rng(7)
+    for k in (3, 4, 5):
+        m = rd.InteractionModel(k, 1)
+        for zeros in (1, 2, 3):
+            for _ in range(12):
+                beta = np.r_[rng.uniform(-3.0, 3.0), rng.uniform(-2.5, 1.0, k)]
+                beta[1 + rng.choice(k, zeros, replace=False)] = 0.0
+                yield rd.ParameterVector(m, beta)
+
+
+def test_center_membership_matches_the_nnls_oracle():
+    # the oracle: nonnegative least squares on every vertex's chart
+    # coordinates, plus the row of ones
+    nnls = pytest.importorskip("scipy.optimize").nnls
+    verdicts = []
+    for theta in dependent_points():
+        m = theta.model
+        pm = rd.polytope_vertices(theta, m)
+        res = rd.analytic_center(rd.lmi_slice(pm), polytope=pm)
+        if res.status is not CenterStatus.CONVERGED:
+            continue
+        assert pm.n_vertices > pm.dim + 1
+        system = np.vstack([rd.vertex_coordinates(pm).T, np.ones(pm.n_vertices)])
+        _, residual = nnls(system, np.concatenate([res.coordinates, [1.0]]))
+        assert res.inside_polytope == (residual <= rd.geometry.MEMBERSHIP_TOL), theta.values
+        if res.inside_polytope:
+            fitted = rd.fisher_information(rd.Design(m.k, res.weights), theta, m)
+            assert_allclose(fitted, res.matrix, rtol=0,
+                            atol=1e-6 * np.abs(res.matrix).max())
+        verdicts.append(res.inside_polytope)
+    # 70 converged centers, 52 inside and 18 outside, when this was written
+    assert len(verdicts) > 50 and True in verdicts and False in verdicts
 
 
 class TestCenterPath:
