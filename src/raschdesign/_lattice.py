@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 from ._numpy import np
 
@@ -76,18 +76,23 @@ def corner_index(m):
     coefficient shared by every term whose omitted subset has size j.
     """
     k, d = m.k, m.d
-    labels = tuple(
-        c for size in range(d + 1, k + 1) for c in combinations(range(1, k + 1), size)
+    sizes = range(d + 1, k + 1)
+    labels = tuple(chain.from_iterable(
+        combinations(range(1, k + 1), size) for size in sizes
+    ))
+    # the same combinations of the rule bits, summed, are the labels' masks
+    bits = [1 << i for i in range(k)]
+    masks = np.fromiter(
+        chain.from_iterable(map(sum, combinations(bits, size)) for size in sizes),
+        dtype=np.intp, count=len(labels),
     )
-    masks = np.fromiter((sum(1 << (i - 1) for i in c) for c in labels),
-                        dtype=np.intp, count=len(labels))
-    sizes = np.array([len(c) for c in labels], dtype=np.intp)
     table = np.array(
-        [[math.comb(c - j - 1, d - j) ** 2 for c in range(d + 1, k + 1)]
-         for j in range(d + 1)],
+        [[math.comb(c - j - 1, d - j) ** 2 for c in sizes] for j in range(d + 1)],
         dtype=float,
     )
-    coeffs = table[:, sizes - (d + 1)]
+    # one column per set C, taken from its size's column
+    counts = [math.comb(k, c) for c in sizes]
+    coeffs = table[:, np.repeat(np.arange(len(sizes)), counts)]
     # the cache hands these arrays to every caller
     masks.setflags(write=False)
     coeffs.setflags(write=False)

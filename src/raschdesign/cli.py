@@ -273,6 +273,55 @@ def main() -> None:
     """D-optimal design toolkit for the Rasch Poisson counts model."""
 
 
+#: Inequalities per write of ``inequalities``: neither its listing nor its
+#: JSON is held whole, so their memory does not grow with 2^k.
+_BLOCK = 1024
+
+# one record of json.dumps(indent=2): the sets, lhs and satisfied slots
+_RECORD = (
+    '    {\n      "C": [\n        %s\n      ],\n'
+    '      "lhs": %s,\n      "satisfied": %s\n    }'
+)
+
+
+def _inequality_blocks(labels, values, violated):
+    """The system ``_BLOCK`` inequalities at a time, as lists of the sets
+    (rules joined by commas), the lhs floats and the satisfied flags."""
+    for start in range(0, len(labels), _BLOCK):
+        chunk = labels[start:start + _BLOCK]
+        yield ([",".join(map(str, c)) for c in chunk],
+               values[start:start + _BLOCK].tolist(),
+               [c not in violated for c in chunk])
+
+
+def _write_inequalities(out, m, labels, values, violated, verdict) -> None:
+    """The bytes of ``write_json`` on the command's payload, a block at a time.
+
+    ``json.dumps`` with an indent has no C encoder and holds every chunk, so
+    its layout is written here.  A non-finite lhs raises json's own error
+    before the file is opened.
+    """
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError("Out of range float values are not JSON compliant: "
+                         + repr(float(bad[0])))
+    with open(out, "w") as fh:
+        fh.write('{\n  "k": %d,\n  "d": %d,\n  "inequalities": [' % (m.k, m.d))
+        separator = "\n"
+        for sets, lhs, satisfied in _inequality_blocks(labels, values, violated):
+            fh.write(separator + ",\n".join(map(_RECORD.__mod__, zip(
+                (text.replace(",", ",\n        ") for text in sets),
+                map(float.__repr__, lhs),
+                map(("false", "true").__getitem__, satisfied),
+            ))))
+            separator = ",\n"
+        # an empty system (d == k) has no maximum
+        max_lhs = verdict.max_directional_value if labels else None
+        fh.write('%s,\n  "optimal": %s,\n  "max_lhs": %s\n}\n' % (
+            "\n  ]" if labels else "]", json.dumps(verdict.optimal),
+            json.dumps(max_lhs)))
+
+
 @main.command()
 @_point_options
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
@@ -283,28 +332,18 @@ def inequalities(theta, out):
     labels, values = corner_lhs(theta, m)
     verdict = _theorem_verdict(values, m)
     violated = set(verdict.violated_labels)
-    records = []
-    lines = []
-    for label, lhs in zip(labels, values.tolist()):
-        satisfied = label not in violated
-        records.append({"C": list(label), "lhs": lhs, "satisfied": satisfied})
-        mark = "ok " if satisfied else "VIOLATED"
-        lines.append(f"C={_set(label)}  lhs={_fmt(lhs)}  {mark}")
+    # "%.12g" prints the same digits as _fmt
+    line = "C={%s}  lhs=%.12g  %s"
+    for sets, lhs, satisfied in _inequality_blocks(labels, values, violated):
+        click.echo("\n".join(map(line.__mod__, zip(
+            sets, lhs, map(("VIOLATED", "ok ").__getitem__, satisfied),
+        ))))
     state = "optimal" if verdict.optimal else "not-optimal"
     if verdict.boundary:
         state += " (boundary)"
-    lines.append(f"verdict: {state}  max-lhs={_fmt(verdict.max_directional_value)}")
-    click.echo("\n".join(lines))
+    click.echo(f"verdict: {state}  max-lhs={_fmt(verdict.max_directional_value)}")
     if out:
-        payload = {
-            "k": m.k,
-            "d": m.d,
-            "inequalities": records,
-            "optimal": verdict.optimal,
-            # an empty system (d == k) has no maximum
-            "max_lhs": verdict.max_directional_value if labels else None,
-        }
-        write_json(out, payload)
+        _write_inequalities(out, m, labels, values, violated, verdict)
 
 
 @main.command()

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ._numpy import np
 from .model import (
@@ -111,8 +112,13 @@ class Representation:
     det: int
 
 
+@lru_cache(maxsize=8)
 def representation_matrix(g: GroupElement, m: InteractionModel) -> Representation:
-    """Q_g and its determinant from the closed form (see the module notes)."""
+    """Q_g and its determinant from the closed form (see the module notes).
+
+    Cached, so one command builds Q_g and Q_{g^-1} once each; ``q`` is
+    read-only.
+    """
     if g.k != m.k:
         raise ValueError(f"group element on {g.k} rules, model on {m.k}")
     pull = GroupElement(_inverse_perm(g.perm), ())  # A -> A' = perm^-1(A)
@@ -133,6 +139,7 @@ def representation_matrix(g: GroupElement, m: InteractionModel) -> Representatio
             sub = (sub - 1) & free
     q = np.zeros((m.p, m.p), dtype=np.int64)
     q[rows, cols] = signs
+    q.setflags(write=False)
     # sign(A -> A'): a cycle of length L has sign (-1)^(L-1)
     parity += m.p - len(_cycles(diagonal))
     return Representation(g, m, q, (-1) ** parity)
@@ -174,15 +181,17 @@ def parameter_orbit(
 
     An orbit of the cyclic group of g can close only at theta, so each point
     is compared with theta alone, at 1e-12 max(1, |theta|_inf), and the orbit
-    never grows past the order of g.  Q^{-1} is built once for the whole
-    orbit, so each further point costs one matrix-vector product.
+    never grows past the order of g.  Q^{-T} is cast to float once for the
+    whole orbit, so each further point costs one matrix-vector product.
     """
     _check_model(theta, m)
     q_inv = representation_matrix(g.inverse(), m).q
+    # the C-ordered float copy that ``q_inv.T @ values`` makes at every step
+    q_inv_t = np.ascontiguousarray(q_inv.T, dtype=float)
     tol = 1e-12 * max(1.0, float(np.max(np.abs(theta.values))))
     orbit = [theta]
     for _ in range(_order(g) - 1):
-        current = ParameterVector(m, q_inv.T @ orbit[-1].values)
+        current = ParameterVector(m, q_inv_t @ orbit[-1].values)
         if np.max(np.abs(current.values - theta.values)) <= tol:
             break
         orbit.append(current)

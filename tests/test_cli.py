@@ -18,6 +18,7 @@ from click.testing import CliRunner
 from numpy.testing import assert_allclose
 
 import raschdesign as rd
+from raschdesign._lattice import corner_index
 from raschdesign.cli import main
 from raschdesign.regions import THEOREM_TOL
 
@@ -515,6 +516,85 @@ class TestInequalities:
                    "--beta", "{}", "--symmetric", "s=0.5"],
         )
         assert result.exit_code == 2
+
+
+def whole_listing(theta):
+    """Stdout and JSON of ``inequalities`` built whole in memory: every record,
+    every line and json.dumps' chunks at once, as the command once built them."""
+    m = theta.model
+    labels, values = rd.corner_lhs(theta, m)
+    verdict = rd.is_corner_optimal_by_theorem(theta, m)
+    violated = set(verdict.violated_labels)
+    records, lines = [], []
+    for label, lhs in zip(labels, values.tolist()):
+        satisfied = label not in violated
+        records.append({"C": list(label), "lhs": lhs, "satisfied": satisfied})
+        mark = "ok " if satisfied else "VIOLATED"
+        lines.append("C={" + ",".join(map(str, label)) + "}" + f"  lhs={lhs:.12g}  {mark}")
+    state = "optimal" if verdict.optimal else "not-optimal"
+    if verdict.boundary:
+        state += " (boundary)"
+    lines.append(f"verdict: {state}  max-lhs={verdict.max_directional_value:.12g}")
+    payload = {
+        "k": m.k, "d": m.d, "inequalities": records, "optimal": verdict.optimal,
+        "max_lhs": verdict.max_directional_value if labels else None,
+    }
+    return "\n".join(lines) + "\n", json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def mixed_beta(m, seed):
+    """A beta map with entries uniform on [-1.5, 1], so of both signs."""
+    rng = np.random.default_rng(seed)
+    keys = (",".join(map(str, a)) for a in m.subsets[1:])
+    return dict(zip(keys, rng.uniform(-1.5, 1.0, m.p - 1).tolist()))
+
+
+class TestInequalitiesStreaming:
+    @pytest.mark.parametrize("k, d, point, violated", [
+        (12, 3, "s=0.5,t=0.9", 3003),  # 3797 inequalities: four write blocks
+        (4, 2, "s=0.5556,t=0.8", 1),
+        (6, 3, None, 7),  # mixed-sign beta
+        (2, 2, None, 0),  # the empty system
+    ])
+    def test_bytes_equal_the_whole_construction(self, runner, tmp_path, k, d, point,
+                                                violated):
+        m = rd.InteractionModel(k, d)
+        out = tmp_path / "f.json"
+        argv = ["inequalities", "--k", str(k), "--d", str(d), "--out", str(out)]
+        if point is not None:
+            s, t = (float(part.split("=")[1]) for part in point.split(","))
+            theta = rd.ParameterVector.symmetric(m, s, t)
+            argv += ["--symmetric", point]
+        elif k > d:
+            beta = mixed_beta(m, seed=2)
+            theta = rd.ParameterVector.from_dict(m, beta)
+            argv += ["--beta", json.dumps(beta)]
+        else:
+            theta = rd.ParameterVector.zeros(m)
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        stdout, text = whole_listing(theta)
+        assert result.output == stdout
+        assert out.read_bytes() == text.encode()
+        assert stdout.count("VIOLATED") == violated
+
+    def test_memory_does_not_grow_with_the_system(self, runner, tmp_path):
+        # (14,3) has 15914 inequalities: the listing is 0.8 MB and the JSON
+        # 2.7 MB, and building both whole peaked at 33 MB
+        runner.invoke(main, ["inequalities", "--k", "3", "--d", "1",
+                             "--out", str(tmp_path / "warm.json")])
+        corner_index.cache_clear()
+        argv = ["inequalities", "--k", "14", "--d", "3", "--symmetric", "s=0.5,t=0.9",
+                "--out", str(tmp_path / "f.json")]
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0
+        assert result.output.count("\n") == 15914 + 1
+        assert peak < 12e6
 
 
 class TestOptimize:
@@ -1066,3 +1146,28 @@ class TestSymmetryCommand:
             assert result.exit_code == 0, result.output
             residuals.append(re.search(r"transformation residual=.*", result.output)[0])
         assert residuals[0] == residuals[1]
+
+    def test_one_command_builds_each_q_once(self, runner, tmp_path, monkeypatch):
+        # |det Q|, the transformed beta, the orbit and the design check all
+        # need Q_g or Q_{g^-1}; each is built once
+        import raschdesign.symmetry as symmetry
+
+        builds = []
+
+        class Counted(symmetry.Representation):
+            def __init__(self, element, *args):
+                builds.append(element)
+                super().__init__(element, *args)
+
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"k": 6, "weights": {"000000": 0.5, "110000": 0.5}}))
+        monkeypatch.setattr(symmetry, "Representation", Counted)
+        # no other test acts with this element, so each build is counted
+        result = runner.invoke(
+            main, ["symmetry", "--k", "6", "--d", "2", "--symmetric", "s=0.5,t=0.9",
+                   "--element", "perm=2,3,4,5,6,1;flips=1", "--orbit",
+                   "--design", str(design)],
+        )
+        assert result.exit_code == 0, result.output
+        assert "orbit size 12" in result.output
+        assert len(builds) <= 2 and len(set(builds)) == len(builds), builds

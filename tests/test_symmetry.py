@@ -219,6 +219,17 @@ class TestRepresentation:
             q_gh = rd.representation_matrix(g.compose(h), m).q
             assert np.array_equal(q_gh, q_g @ q_h)
 
+    def test_cached_and_read_only(self):
+        m = rd.InteractionModel(5, 2)
+        rep = rd.representation_matrix(rd.GroupElement((2, 1, 3, 4, 5), (4,)), m)
+        # an equal element and model, built anew, find the same matrix
+        again = rd.representation_matrix(rd.GroupElement((2, 1, 3, 4, 5), (4,)),
+                                         rd.InteractionModel(5, 2))
+        assert again is rep
+        assert not rep.q.flags.writeable
+        with pytest.raises(ValueError):
+            rep.q[0, 0] = 2
+
 
 class TestParameterAction:
     def test_identity(self):
@@ -300,6 +311,21 @@ class TestParameterOrbit:
             orbit = symmetry.parameter_orbit(element, theta, m)
             counts[len(orbit)] = len(calls)
         assert counts == {2: 1, 8: 1}
+
+    @pytest.mark.parametrize("k, d", [(3, 2), (6, 2), (8, 3), (12, 3)])
+    def test_points_are_the_integer_products(self, k, d):
+        # Q^{-T} is cast to float once per orbit; each point keeps the bits of
+        # the int64 product that casts it per step
+        rng = np.random.default_rng(k + d)
+        m = rd.InteractionModel(k, d)
+        for _ in range(3):
+            g = random_element(rng, k)
+            theta = rd.ParameterVector(m, rng.normal(size=m.p))
+            q_inv = rd.representation_matrix(g.inverse(), m).q
+            current = theta.values
+            for point in symmetry.parameter_orbit(g, theta, m)[1:]:
+                current = q_inv.T @ current
+                assert point.values.tobytes() == current.tobytes(), g
 
     def test_length_divides_the_order(self):
         rng = np.random.default_rng(21)
