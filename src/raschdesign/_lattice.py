@@ -4,9 +4,10 @@
 An array over the lattice has a last axis of length 2^k indexed by
 bitmask (bit ``i-1`` holds rule ``i``).  This module owns the subset-sum
 (zeta) transform in linear and in log space, its inverse (the Moebius
-transform), and the two cached index tables that read the lattice in a
-model's subset order: the masks A|B of the information matrix and the
-sets C of the corner inequality system.
+transform), the masks of the subsets of one size, and the two cached
+index tables that read the lattice in a model's subset order: the masks
+A|B of the information matrix and the sets C of the corner inequality
+system.
 Like every module of the package, it runs no numpy code at import.
 """
 
@@ -67,6 +68,12 @@ def union_index(m) -> np.ndarray:
     return index
 
 
+def masks_of_size(k: int, size: int):
+    """Bitmasks of the ``size``-subsets of {1..k}, in the lexicographic order
+    of their rules: the same combinations of the rule bits, summed."""
+    return map(sum, combinations([1 << i for i in range(k)], size))
+
+
 @lru_cache(maxsize=8)
 def corner_index(m):
     """Labels, masks and coefficients of the corner system of model ``m``.
@@ -80,10 +87,8 @@ def corner_index(m):
     labels = tuple(chain.from_iterable(
         combinations(range(1, k + 1), size) for size in sizes
     ))
-    # the same combinations of the rule bits, summed, are the labels' masks
-    bits = [1 << i for i in range(k)]
     masks = np.fromiter(
-        chain.from_iterable(map(sum, combinations(bits, size)) for size in sizes),
+        chain.from_iterable(masks_of_size(k, size) for size in sizes),
         dtype=np.intp, count=len(labels),
     )
     table = np.array(

@@ -32,6 +32,7 @@ from .model import InteractionModel, ParameterVector, setting_string
 from .geometry import center_path
 from .optimizer import MAX_ITERATIONS, optimize_design
 from .regions import (
+    THEOREM_TOL,
     _VERDICTS,
     _slice_grid,
     _theorem_verdict,
@@ -284,17 +285,18 @@ _RECORD = (
 )
 
 
-def _inequality_blocks(labels, values, violated):
+def _inequality_blocks(labels, values, verdict):
     """The system ``_BLOCK`` inequalities at a time, as lists of the sets
-    (rules joined by commas), the lhs floats and the satisfied flags."""
+    (rules joined by commas), the lhs floats and the satisfied flags.  A
+    flag is the verdict's own comparison, lhs > bound (1 + THEOREM_TOL)."""
+    limit = verdict.bound * (1.0 + THEOREM_TOL)
     for start in range(0, len(labels), _BLOCK):
-        chunk = labels[start:start + _BLOCK]
-        yield ([",".join(map(str, c)) for c in chunk],
-               values[start:start + _BLOCK].tolist(),
-               [c not in violated for c in chunk])
+        block = values[start:start + _BLOCK]
+        yield ([",".join(map(str, c)) for c in labels[start:start + _BLOCK]],
+               block.tolist(), (~(block > limit)).tolist())
 
 
-def _write_inequalities(out, m, labels, values, violated, verdict) -> None:
+def _write_inequalities(out, m, labels, values, verdict) -> None:
     """The bytes of ``write_json`` on the command's payload, a block at a time.
 
     ``json.dumps`` with an indent has no C encoder and holds every chunk, so
@@ -308,7 +310,7 @@ def _write_inequalities(out, m, labels, values, violated, verdict) -> None:
     with open(out, "w") as fh:
         fh.write('{\n  "k": %d,\n  "d": %d,\n  "inequalities": [' % (m.k, m.d))
         separator = "\n"
-        for sets, lhs, satisfied in _inequality_blocks(labels, values, violated):
+        for sets, lhs, satisfied in _inequality_blocks(labels, values, verdict):
             fh.write(separator + ",\n".join(map(_RECORD.__mod__, zip(
                 (text.replace(",", ",\n        ") for text in sets),
                 map(float.__repr__, lhs),
@@ -331,10 +333,9 @@ def inequalities(theta, out):
     m = theta.model
     labels, values = corner_lhs(theta, m)
     verdict = _theorem_verdict(values, m)
-    violated = set(verdict.violated_labels)
     # "%.12g" prints the same digits as _fmt
     line = "C={%s}  lhs=%.12g  %s"
-    for sets, lhs, satisfied in _inequality_blocks(labels, values, violated):
+    for sets, lhs, satisfied in _inequality_blocks(labels, values, verdict):
         click.echo("\n".join(map(line.__mod__, zip(
             sets, lhs, map(("VIOLATED", "ok ").__getitem__, satisfied),
         ))))
@@ -343,7 +344,7 @@ def inequalities(theta, out):
         state += " (boundary)"
     click.echo(f"verdict: {state}  max-lhs={_fmt(verdict.max_directional_value)}")
     if out:
-        _write_inequalities(out, m, labels, values, violated, verdict)
+        _write_inequalities(out, m, labels, values, verdict)
 
 
 @main.command()

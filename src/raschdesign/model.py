@@ -251,6 +251,21 @@ class ParameterVector:
         """Whether the base parameter beta of the empty set is exactly 0."""
         return self.values[0] == 0.0
 
+    @property
+    def exchangeable(self) -> bool:
+        """Whether beta_A depends on |A| alone, the base parameter aside.
+
+        True when every beta_A of each size |A| >= 1 holds the same float;
+        then the intensities are invariant under permutations of the rules.
+        """
+        vals, start = self.values, 1
+        for size in range(1, self.model.d + 1):
+            stop = start + math.comb(self.model.k, size)
+            if not (vals[start:stop] == vals[start]).all():
+                return False
+            start = stop
+        return True
+
     def with_base_zero(self) -> "ParameterVector":
         """Copy with the base parameter reset to 0 (global intensity rescale).
 

@@ -52,6 +52,27 @@ heaviest settings, and returns that design when it is nonsingular and
 passes the same KW test; near the end of the corner region this turns
 a run that stopped with a small weight left on an extra setting into
 the saturated optimum.  The iteration is deterministic.
+
+An exchangeable parameter (``ParameterVector.exchangeable``: beta_A
+depends on |A| alone) runs the same ascent on the k + 1 orbit weights
+omega_c, orbit c being the C(k,c) settings with c active rules.  The
+D-optimal M is unique, so an invariant design attains it (Pukelsheim,
+Optimal Design of Experiments, 1993, ch. 13).  M of an invariant design
+splits into Schrijver's blocks (IEEE Trans. IT 51, 2005): block
+r = 0..min(d, k//2), of size at most d + 1, occurs C(k,r) - C(k,r-1) times
+and is B_r = sum_c omega_c lambda_c h_rc h_rc^T, with
+h_rc[i] = sqrt(C(c-r, i-r) C(k-i-r, c-i) / C(k,c)) for i = r..min(d, k-r)
+(``_orbits``).  Then log det M = sum_r mu_r log det B_r and d is constant on
+each orbit, so an iteration costs O(k d^3) and no p x p array exists.  The
+exchange moves weight between whole orbits, from the argmin-d orbit of
+the support to the argmax-d orbit, with its length from an exact Newton
+line search on sum_r mu_r log det(B_r + alpha Delta_r); deletion removes
+whole orbits; the snap takes the orbits of largest per-setting weight
+when their sizes add up to exactly p, also when the support is those
+orbits already, so a saturated result has weights 1/p exactly.  The
+result spreads omega_c evenly over orbit c.  Every other parameter runs
+on the 2^k lattice, which stays the orbit path's test oracle
+(``_optimize_on_lattice``).
 """
 
 from __future__ import annotations
@@ -189,29 +210,64 @@ def _exchange(
     return np.subtract(d, update, out=update), log_phi, emptied
 
 
-def _snap(
-    w: np.ndarray, lam: np.ndarray, m: InteractionModel
-) -> tuple[np.ndarray, float, float] | None:
-    """The uniform design on the p heaviest settings, if it passes the KW test.
+class _Lattice:
+    """The ascent's kernel on the weights of all 2^k settings."""
 
-    D-optimal weights on p points are uniform, so a run that converged on
-    more than p settings next to a saturated optimum ends here.  Returns
-    those settings, the design's log det and max d, or None when the
-    design is singular or fails the test.
-    """
-    support = np.flatnonzero(w)
-    top = support[np.argpartition(w[support], len(support) - m.p)[len(support) - m.p:]]
-    wl = np.zeros_like(lam)
-    wl[top] = lam[top] / m.p
-    try:
-        low = _cholesky(_information(wl, m))
-    except np.linalg.LinAlgError:
-        return None
-    del wl
-    kw_max = float(np.max(_sensitivities(low, lam, m)[1]))
-    if kw_max > m.p * (1.0 + KW_TOL):
-        return None
-    return top, 2.0 * float(np.sum(np.log(np.diag(low)))), kw_max
+    def __init__(self, theta: ParameterVector, m: InteractionModel) -> None:
+        self.m = m
+        self.lam = intensities(theta.with_base_zero(), m)
+        self.masks = np.asarray(m.masks, dtype=np.intp)
+
+    def start(self) -> np.ndarray:
+        """The uniform design on all 2^k settings."""
+        n = 1 << self.m.k
+        return np.full(n, 1.0 / n)
+
+    def evaluate(self, w: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """log det M, the sensitivities d(x) and M^{-1} for the weights ``w``."""
+        try:
+            low = _cholesky(_information(w * self.lam, self.m))
+        except np.linalg.LinAlgError as exc:
+            raise SingularInformation(
+                "information matrix of the current iterate is singular"
+            ) from exc
+        minv, d = _sensitivities(low, self.lam, self.m)
+        return 2.0 * float(np.sum(np.log(np.diag(low)))), d, minv
+
+    def exchange(self, w, d, j, minv, gain):
+        """``_exchange`` on this kernel's intensities and masks."""
+        return _exchange(w, d, j, minv, self.lam, self.masks, gain)
+
+    def snap(self, w: np.ndarray) -> tuple[Design, float, float] | None:
+        """The uniform design on the p heaviest settings, if it passes the KW test.
+
+        D-optimal weights on p points are uniform, so a run that converged on
+        more than p settings next to a saturated optimum ends here.  Returns
+        that design, its log det and max d, or None when the run is
+        saturated already or the design is singular or fails the test.
+        """
+        m, lam = self.m, self.lam
+        support = np.flatnonzero(w)
+        if len(support) <= m.p:
+            return None
+        top = support[np.argpartition(w[support], len(support) - m.p)[len(support) - m.p:]]
+        wl = np.zeros_like(lam)
+        wl[top] = lam[top] / m.p
+        try:
+            low = _cholesky(_information(wl, m))
+        except np.linalg.LinAlgError:
+            return None
+        del wl
+        kw_max = float(np.max(_sensitivities(low, lam, m)[1]))
+        if kw_max > m.p * (1.0 + KW_TOL):
+            return None
+        weight = 1.0 / m.p
+        design = Design(m.k, {int(x): weight for x in top})
+        return design, 2.0 * float(np.sum(np.log(np.diag(low)))), kw_max
+
+    def design(self, w: np.ndarray) -> Design:
+        """The design with weight ``w[x]`` on each setting x."""
+        return Design(self.m.k, {int(x): float(w[x]) for x in np.nonzero(w)[0]})
 
 
 def optimize_design(
@@ -231,16 +287,33 @@ def optimize_design(
     The ascent runs at base parameter 0 (``ParameterVector.with_base_zero``),
     so the weights and iterations have the same bits at every base
     parameter; ``log_det`` and ``log_det_trace`` add p beta_empty back and
-    stay the log det of M(w) at ``theta``.
+    stay the log det of M(w) at ``theta``.  An exchangeable ``theta`` runs
+    on the k + 1 orbit weights, any other on the 2^k lattice.
     """
+    if theta.exchangeable:
+        from ._orbits import Orbits
+
+        return _optimize(Orbits, theta, m, max_iterations)
+    return _optimize_on_lattice(theta, m, max_iterations)
+
+
+def _optimize_on_lattice(
+    theta: ParameterVector,
+    m: InteractionModel,
+    max_iterations: int = MAX_ITERATIONS,
+) -> OptimizerResult:
+    """``optimize_design`` on the 2^k lattice, whatever ``theta``: the path of
+    a parameter that is not exchangeable and the orbit path's oracle."""
+    return _optimize(_Lattice, theta, m, max_iterations)
+
+
+def _optimize(kernel_type, theta, m, max_iterations) -> OptimizerResult:
+    """The ascent on the kernel ``kernel_type(theta, m)``, as a result."""
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
-    n = 1 << m.k
+    kernel = kernel_type(theta, m)
     p = float(m.p)
-    lam = intensities(theta.with_base_zero(), m)
-    masks = np.asarray(m.masks, dtype=np.intp)
-
-    w = np.full(n, 1.0 / n)
+    w = kernel.start()
 
     trace: list[float] = []
     prunes: list[int] = []
@@ -251,14 +324,7 @@ def optimize_design(
     iterations = 0
 
     for iterations in range(max_iterations + 1):
-        try:
-            low = _cholesky(_information(w * lam, m))
-        except np.linalg.LinAlgError as exc:
-            raise SingularInformation(
-                "information matrix of the current iterate is singular"
-            ) from exc
-        log_det = 2.0 * float(np.sum(np.log(np.diag(low))))
-        minv, d = _sensitivities(low, lam, m)
+        log_det, d, state = kernel.evaluate(w)
         trace.append(log_det)
         if last_log_det is not None and log_det < last_log_det - 1e-12 * max(
             1.0, abs(last_log_det)
@@ -281,7 +347,7 @@ def optimize_design(
 
         step_d = d
         if gain is not None:
-            step = _exchange(w, d, best, minv, lam, masks, gain)
+            step = kernel.exchange(w, d, best, state, gain)
             if step is not None:
                 step_d, log_phi, emptied = step
                 last_log_det += log_phi
@@ -290,7 +356,7 @@ def optimize_design(
                 _check_average(w, step_d, p, iterations)
             del step
         # no p x p or second 2^k array lives into the next factorization
-        del minv
+        del state
 
         # w_x d(x) / p, normalized; zero weights stay zero, as d is finite
         w *= step_d
@@ -310,15 +376,12 @@ def optimize_design(
             last_log_det = None  # support changed; ascent restarts from here
 
     # the snap then needs no more memory than an iteration
-    del minv, d
-    if converged and np.count_nonzero(w) > m.p:
-        snapped = _snap(w, lam, m)
-        if snapped is not None:
-            top, log_det, kw_max = snapped
-            w[:] = 0.0
-            w[top] = 1.0 / m.p
-
-    design = Design(m.k, {int(x): float(w[x]) for x in np.nonzero(w)[0]})
+    del state, d
+    snapped = kernel.snap(w) if converged else None
+    if snapped is None:
+        design = kernel.design(w)
+    else:
+        design, log_det, kw_max = snapped
     support_size = len(design.support)
     # M(w) at the base parameter is e^beta_empty times the M(w) iterated on
     scale = m.p * float(theta.values[0])

@@ -227,12 +227,19 @@ def is_corner_optimal_by_theorem(
 
 
 def _theorem_verdict(values: np.ndarray, m: InteractionModel) -> OptimalityVerdict:
-    """Verdict of the system from its ``corner_lhs`` values."""
-    return _verdict(values, corner_index(m)[1], 1.0, THEOREM_TOL, m.k)
+    """Verdict of the system from its ``corner_lhs`` values; the violated
+    labels are the cached tuples of ``corner_index``."""
+    labels, masks, _ = corner_index(m)
+    return _verdict(values, masks, 1.0, THEOREM_TOL, m.k, labels)
 
 
 def _verdict(
-    values: np.ndarray, masks: Sequence[int], bound: float, tol: float, k: int
+    values: np.ndarray,
+    masks: Sequence[int],
+    bound: float,
+    tol: float,
+    k: int,
+    labels: Sequence[tuple[int, ...]] | None = None,
 ) -> OptimalityVerdict:
     """The one optimality rule of both certificates.
 
@@ -240,14 +247,19 @@ def _verdict(
     serves for settings indexed by mask, at no memory cost.  A value is
     violated when it exceeds bound (1 + tol); the verdict is on the
     boundary when the largest value is within bound * tol of the bound.
+    ``labels[i]``, when given, names set i among the violated labels;
+    otherwise its rules are read off ``masks[i]``.
     An empty system (k = d) is optimal, with maximum -inf at setting 0.
     """
     best, worst = -math.inf, 0
     if values.size:
         i = int(np.argmax(values))
         best, worst = float(values[i]), int(masks[i])
-    over = np.flatnonzero(values > bound * (1.0 + tol))
-    violated = tuple(mask_subset(int(masks[i])) for i in over)
+    over = np.flatnonzero(values > bound * (1.0 + tol)).tolist()
+    if labels is None:
+        violated = tuple(mask_subset(int(masks[i])) for i in over)
+    else:
+        violated = tuple(map(labels.__getitem__, over))
     return OptimalityVerdict(
         optimal=not violated,
         max_directional_value=best,

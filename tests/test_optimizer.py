@@ -180,7 +180,9 @@ class TestVertexExchange:
     def test_reported_values_match_design(self, lam, snapped):
         m = rd.InteractionModel(2, 1)
         theta = rd.ParameterVector.symmetric(m, lam)
-        result = rd.optimize_design(theta, m)
+        # the snapped flags are the lattice's; the orbit path is checked in
+        # TestOrbitPath::test_agrees_with_the_lattice
+        result = optimizer._optimize_on_lattice(theta, m)
         # a snapped run reports its own design's values, not the trace's last
         assert (result.log_det != result.log_det_trace[-1]) == snapped
         sign, log_det = np.linalg.slogdet(rd.fisher_information(result.design, theta, m))
@@ -244,7 +246,8 @@ class TestVertexExchange:
         monkeypatch.setattr(optimizer, "_sensitivities", counting_sensitivities)
         monkeypatch.setattr(optimizer, "_exchange", recording_exchange)
         m = rd.InteractionModel(3, 1)
-        result = rd.optimize_design(rd.ParameterVector.symmetric(m, 0.4), m)
+        # a symmetric point would take the orbit path: pin the lattice
+        result = optimizer._optimize_on_lattice(rd.ParameterVector.symmetric(m, 0.4), m)
         assert result.converged
         assert emptied
         assert set(emptied) <= set(result.prune_iterations)
@@ -252,6 +255,182 @@ class TestVertexExchange:
         # an exchange raises log det, so its entries need no segment break
         deletions = set(result.prune_iterations) - set(emptied)
         assert segment_monotone(result.log_det_trace, deletions)
+
+
+def exchangeable(m, b):
+    """The parameter with beta_A = b[|A|]."""
+    return rd.ParameterVector(m, np.asarray(b, dtype=float)[list(m.cards)])
+
+
+def orbit_points():
+    """Seeded exchangeable points with k <= 7, the benchmark's design rungs and
+    the k = 2 grid around sqrt(2) - 1 of TestVertexExchange."""
+    rng = np.random.default_rng(25)
+    for _ in range(16):
+        k = int(rng.integers(1, 8))
+        d = int(rng.integers(1, k + 1))
+        b = rng.uniform(-2.0, 0.5, size=d + 1)
+        b[0] = rng.uniform(-3.0, 3.0)
+        yield pytest.param(k, d, tuple(b), id=f"seeded-{k}-{d}")
+    for k, d, s, t in [(2, 1, 0.41, None), (6, 2, 0.5, 0.9), (10, 2, 0.5, 0.9),
+                       (10, 3, 0.35, 0.7), (12, 3, 0.3, 0.6)]:
+        b = (0.0, math.log(s)) + (() if t is None else (math.log(t),)) + (0.0,) * (d - 2)
+        yield pytest.param(k, d, b, id=f"rung-{k}-{d}")
+    root = math.sqrt(2) - 1
+    offsets = [sign * 10 ** (-j / 2) for j in range(4, 15) for sign in (-1, 1)]
+    for lam in [root + h for h in offsets] + np.linspace(0.3, 0.5, 41).tolist():
+        yield pytest.param(2, 1, (0.0, math.log(lam)), id=f"root-{lam!r}")
+
+
+class TestOrbitPath:
+    """Exchangeable parameters run on the k + 1 orbit weights."""
+
+    @pytest.mark.parametrize("k,d", [(k, d) for k in range(1, 8) for d in range(1, k + 1)])
+    def test_kernel_matches_the_lattice(self, k, d):
+        from raschdesign._lattice import masks_of_size
+        from raschdesign._orbits import Orbits
+        from raschdesign.model import _cholesky, _information, _sensitivities
+
+        m = rd.InteractionModel(k, d)
+        rng = np.random.default_rng(10 * k + d)
+        sizes = np.array([bin(x).count("1") for x in range(1 << k)])
+        for _ in range(3):
+            # weaker interactions of higher order keep M well enough
+            # conditioned for the lattice's log det to serve as the oracle
+            b = rng.uniform(-1.5, 0.5, size=d + 1) / np.maximum(1, np.arange(d + 1))
+            theta = exchangeable(m, b)
+            omega = rng.uniform(0.1, 1.0, size=k + 1)
+            omega /= omega.sum()
+            log_det, d_orbit, _ = Orbits(theta, m).evaluate(omega)
+
+            w = np.zeros(1 << k)
+            for c in range(k + 1):
+                w[list(masks_of_size(k, c))] = omega[c] / math.comb(k, c)
+            lam = rd.intensities(theta.with_base_zero(), m)
+            low = _cholesky(_information(w * lam, m))
+            assert_allclose(log_det, 2.0 * np.log(np.diag(low)).sum(), rtol=1e-12)
+            assert_allclose(d_orbit[sizes], _sensitivities(low, lam, m)[1], rtol=1e-10)
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_blocks_are_schrijvers(self, k):
+        # Phi_r(G_c) from the sum over t and u, in exact integers, is h h^T C(k,c)
+        from raschdesign._orbits import orbit_blocks
+
+        h, mu, _ = orbit_blocks(k, k)
+        # the blocks, each mu_r times, fill all 2^k parameters of the (k,k) model
+        assert sum(mu[r] * (k - 2 * r + 1) for r in range(k // 2 + 1)) == 2 ** k
+        for r in range(k // 2 + 1):
+            rows = range(r, k - r + 1)
+            n = k - 2 * r
+            for a, i in enumerate(rows):
+                for b, l in enumerate(rows):
+                    beta = [sum((-1) ** (u - t) * math.comb(u, t) * math.comb(n, u - r)
+                                * math.comb(k - r - u, i - u) * math.comb(k - r - u, l - u)
+                                for u in range(max(r, t), min(i, l) + 1))
+                            for t in range(min(i, l) + 1)]
+                    norm = math.sqrt(math.comb(n, i - r) * math.comb(n, l - r))
+                    for c in range(k + 1):
+                        phi = sum(b_t * rd.choose(k - (i + l - t), c - (i + l - t))
+                                  for t, b_t in enumerate(beta)) / norm
+                        assert_allclose(h[r, c, a] * h[r, c, b] * math.comb(k, c), phi,
+                                        rtol=1e-13, atol=1e-13 * math.comb(k, c))
+
+    @pytest.mark.parametrize("k,d,b", orbit_points())
+    def test_agrees_with_the_lattice(self, k, d, b):
+        m = rd.InteractionModel(k, d)
+        theta = exchangeable(m, b)
+        orbit = rd.optimize_design(theta, m)
+        lattice = optimizer._optimize_on_lattice(theta, m)
+        assert (orbit.structure, orbit.converged) == (lattice.structure, lattice.converged)
+        assert orbit.converged
+        # log det M(w) lies within max d - p of the optimum, up to rounding
+        gap = max(orbit.final_kw_max, lattice.final_kw_max) - m.p
+        assert abs(orbit.log_det - lattice.log_det) <= max(gap, 0.0) + 1e-12 * max(
+            1.0, abs(lattice.log_det))
+        assert rd.kw_certificate(orbit.design, theta, m).optimal
+        if orbit.structure is DesignStructure.CORNER:
+            # the lattice's weights carry rounding; the orbit's are 1/p exactly
+            corner = rd.corner_design(m).weights
+            assert orbit.design.weights == corner
+            assert lattice.design.weights.keys() == corner.keys()
+            assert_allclose(list(lattice.design.weights.values()),
+                            list(corner.values()), rtol=1e-12)
+        # the reported values are the returned design's
+        sign, log_det = np.linalg.slogdet(rd.fisher_information(orbit.design, theta, m))
+        assert sign == 1.0
+        assert_allclose(orbit.log_det, log_det, rtol=1e-9)
+        kw_max = float(np.max(rd.sensitivities(orbit.design, theta, m)))
+        assert_allclose(orbit.final_kw_max, kw_max, rtol=1e-9)
+
+    def test_exchangeable_property(self):
+        m = rd.InteractionModel(6, 2)
+        theta = rd.ParameterVector.symmetric(m, 0.5, 0.9)
+        assert theta.exchangeable
+        for base in (-700.0, 3.7):
+            vals = theta.values.copy()
+            vals[0] = base
+            assert rd.ParameterVector(m, vals).exchangeable
+        for k in (1, 2, 3):
+            assert exchangeable(rd.InteractionModel(k, k), np.arange(k + 1.0)).exchangeable
+        vals = theta.values.copy()
+        vals[3] = np.nextafter(vals[3], 0.0)  # one ulp on beta_3
+        off = rd.ParameterVector(m, vals)
+        assert not off.exchangeable
+
+        # the lattice path, bit for bit; the orbit path needs fewer iterations
+        result = rd.optimize_design(off, m)
+        lattice = optimizer._optimize_on_lattice(off, m)
+        assert result.design.weights == lattice.design.weights
+        assert result.iterations == lattice.iterations
+        assert np.array_equal(result.log_det_trace, lattice.log_det_trace)
+        assert rd.optimize_design(theta, m).iterations < lattice.iterations
+
+    @pytest.mark.parametrize("k", [10, 12])
+    def test_large_intensities_never_pass_silently(self, k):
+        # s = 5, t = 3: M is so ill conditioned that sum w d = p fails
+        m = rd.InteractionModel(k, 2)
+        theta = rd.ParameterVector.symmetric(m, 5.0, 3.0)
+        try:
+            result = rd.optimize_design(theta, m)
+        except rd.NumericalCheckError:
+            return
+        assert rd.kw_certificate(result.design, theta, m).optimal
+
+    @pytest.mark.parametrize("b,error", [
+        pytest.param((0.0, 500.0), ValueError, id="overflow"),
+        pytest.param((0.0, -800.0), rd.SingularInformation, id="underflow"),
+    ])
+    def test_errors_are_the_lattice_errors(self, b, error):
+        m = rd.InteractionModel(3, 1)
+        theta = exchangeable(m, b)
+        with pytest.raises(error) as orbit:
+            rd.optimize_design(theta, m)
+        with pytest.raises(error) as lattice:
+            optimizer._optimize_on_lattice(theta, m)
+        assert str(orbit.value) == str(lattice.value)
+
+    def test_no_lattice_array(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the orbit path built a lattice array")
+
+        for name in ("_information", "_sensitivities", "intensities"):
+            monkeypatch.setattr(optimizer, name, refuse)
+        m = rd.InteractionModel(12, 3)
+        theta = rd.ParameterVector.symmetric(m, 0.3, 0.6)
+        result = rd.optimize_design(theta, m)
+        assert result.converged and result.structure is DesignStructure.CORNER
+
+    def test_other_parameters_do_not_import_the_orbits(self, fresh_python):
+        code = (
+            "import sys; import raschdesign as rd; "
+            "m = rd.InteractionModel(3, 1); "
+            "rd.optimize_design(rd.ParameterVector(m, [0, -1, -2, -3]), m); "
+            "assert 'raschdesign._orbits' not in sys.modules; "
+            "rd.optimize_design(rd.ParameterVector.symmetric(m, 0.5), m); "
+            "assert 'raschdesign._orbits' in sys.modules"
+        )
+        out = fresh_python("-c", code)
+        assert out.returncode == 0, out.stderr
 
 
 class TestClassifyStructure:

@@ -266,6 +266,17 @@ class TestTheoremVerdict:
         assert not verdict.optimal
         assert verdict.violated_labels == ((1, 2, 3, 4),)
 
+    def test_violated_labels_are_the_cached_tuples(self):
+        # no tuple is rebuilt per violated set: each label is corner_index's own
+        m = rd.InteractionModel(8, 2)
+        theta = rd.ParameterVector.symmetric(m, 0.5, 0.9)
+        labels, values = rd.corner_lhs(theta, m)
+        verdict = rd.is_corner_optimal_by_theorem(theta, m)
+        over = np.flatnonzero(values > 1.0 + regions.THEOREM_TOL)
+        assert len(verdict.violated_labels) == over.size > 0
+        assert all(label is labels[i]
+                   for label, i in zip(verdict.violated_labels, over.tolist()))
+
 
 class TestKwCertificate:
     def test_uniform_design_flat_at_zero(self):
