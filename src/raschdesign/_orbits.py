@@ -39,11 +39,9 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from ._lattice import masks_of_size
 from ._numpy import np
 from .exceptions import SingularInformation
 from .model import Design, _LOG_MAX, _check_model, _cholesky, _overflow, choose
-from .regions import KW_TOL
 
 
 @lru_cache(maxsize=8)
@@ -177,14 +175,14 @@ class Orbits:
         w[a] = 0.0 if emptied else w_a - alpha
         return self.evaluate(w)[1], log_phi, emptied
 
-    def snap(self, w: np.ndarray):
+    def saturated(self, w: np.ndarray):
         """The uniform design on the orbits of largest per-setting weight.
 
         When the first orbits of the support in that order hold exactly p
         settings, the D-optimal weights on those settings are 1/p each.
-        Returns that design, its log det and max d when it passes the KW
-        test, else None.  The support may be those orbits already: a
-        converged saturated run then returns 1/p exactly, not its iterate.
+        Returns that design as orbit weights and as a ``Design``, else None.
+        The support may be those orbits already: a converged saturated run
+        then returns 1/p exactly, not its iterate.
         """
         support = np.flatnonzero(w)
         order = support[np.argsort(-(w[support] / self.sizes[support]), kind="stable")]
@@ -192,22 +190,33 @@ class Orbits:
         count = int(np.searchsorted(filled, self.p)) + 1
         if count > len(order) or filled[count - 1] != self.p:
             return None
-        top = np.sort(order[:count])
+        top = order[:count]
         uniform = np.zeros_like(w)
         uniform[top] = self.sizes[top] / self.p
-        try:
-            log_det, d, _ = self.evaluate(uniform)
-        except SingularInformation:
-            return None
-        kw_max = float(d.max())
-        if kw_max > self.p * (1.0 + KW_TOL):
-            return None
-        weight = 1.0 / self.p
-        return Design(self.k, {x: weight for c in top.tolist()
-                               for x in masks_of_size(self.k, c)}), log_det, kw_max
+        per_setting = np.zeros_like(w)
+        per_setting[top] = 1.0 / self.p
+        return uniform, self._expand(per_setting)
 
     def design(self, w: np.ndarray) -> Design:
         """The design with weight omega_c / C(k,c) on each setting of orbit c."""
-        return Design(self.k, {x: float(w[c] / self.sizes[c])
-                               for c in np.flatnonzero(w).tolist()
-                               for x in masks_of_size(self.k, c)})
+        return self._expand(w / self.sizes)
+
+    def _expand(self, per_setting: np.ndarray) -> Design:
+        """The design with weight ``per_setting[c]`` on each setting of orbit c.
+
+        The settings come in mask order, 2^12 at a time: |x| of a block is
+        |x| of its low 12 bits, from one table, plus |x| of the block's high
+        bits.  So ``Design`` gets its keys sorted, and no 2^k array exists.
+        """
+        low_bits = min(self.k, 12)
+        size = np.zeros(1 << low_bits, dtype=np.intp)
+        for i in range(low_bits):
+            size[1 << i:2 << i] = size[:1 << i] + 1
+        keys: list[int] = []
+        weights: list[float] = []
+        for high in range(1 << (self.k - low_bits)):
+            block = per_setting[size + high.bit_count()]
+            at = np.flatnonzero(block)
+            keys += (at + (high << low_bits)).tolist()
+            weights += block[at].tolist()
+        return Design(self.k, dict(zip(keys, weights)))

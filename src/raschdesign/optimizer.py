@@ -238,32 +238,18 @@ class _Lattice:
         """``_exchange`` on this kernel's intensities and masks."""
         return _exchange(w, d, j, minv, self.lam, self.masks, gain)
 
-    def snap(self, w: np.ndarray) -> tuple[Design, float, float] | None:
-        """The uniform design on the p heaviest settings, if it passes the KW test.
-
-        D-optimal weights on p points are uniform, so a run that converged on
-        more than p settings next to a saturated optimum ends here.  Returns
-        that design, its log det and max d, or None when the run is
-        saturated already or the design is singular or fails the test.
-        """
-        m, lam = self.m, self.lam
+    def saturated(self, w: np.ndarray) -> tuple[np.ndarray, Design] | None:
+        """The uniform design on the p heaviest settings, as weights and as a
+        ``Design``, or None when the run is saturated already."""
+        m = self.m
         support = np.flatnonzero(w)
         if len(support) <= m.p:
             return None
         top = support[np.argpartition(w[support], len(support) - m.p)[len(support) - m.p:]]
-        wl = np.zeros_like(lam)
-        wl[top] = lam[top] / m.p
-        try:
-            low = _cholesky(_information(wl, m))
-        except np.linalg.LinAlgError:
-            return None
-        del wl
-        kw_max = float(np.max(_sensitivities(low, lam, m)[1]))
-        if kw_max > m.p * (1.0 + KW_TOL):
-            return None
         weight = 1.0 / m.p
-        design = Design(m.k, {int(x): weight for x in top})
-        return design, 2.0 * float(np.sum(np.log(np.diag(low)))), kw_max
+        uniform = np.zeros_like(w)
+        uniform[top] = weight
+        return uniform, Design(m.k, dict.fromkeys(top.tolist(), weight))
 
     def design(self, w: np.ndarray) -> Design:
         """The design with weight ``w[x]`` on each setting x."""
@@ -375,9 +361,9 @@ def _optimize(kernel_type, theta, m, max_iterations) -> OptimizerResult:
             prunes.append(len(trace) - 1)
             last_log_det = None  # support changed; ascent restarts from here
 
-    # the snap then needs no more memory than an iteration
+    # the snap then needs about as much memory as an iteration
     del state, d
-    snapped = kernel.snap(w) if converged else None
+    snapped = _snap(kernel, w, p) if converged else None
     if snapped is None:
         design = kernel.design(w)
     else:
@@ -397,6 +383,27 @@ def _optimize(kernel_type, theta, m, max_iterations) -> OptimizerResult:
         support_size=support_size,
         caratheodory_ok=support_size <= caratheodory_bound(m),
     )
+
+
+def _snap(kernel, w: np.ndarray, p: float) -> tuple[Design, float, float] | None:
+    """The kernel's saturated design, if it is nonsingular and passes the KW test.
+
+    D-optimal weights on p points are uniform, so a run that converged
+    next to a saturated optimum ends here.  Returns that design, its log
+    det and max d, or None.
+    """
+    candidate = kernel.saturated(w)
+    if candidate is None:
+        return None
+    uniform, design = candidate
+    try:
+        log_det, d = kernel.evaluate(uniform)[:2]
+    except SingularInformation:
+        return None
+    kw_max = float(np.max(d))
+    if kw_max > p * (1.0 + KW_TOL):
+        return None
+    return design, log_det, kw_max
 
 
 def _check_average(w: np.ndarray, d: np.ndarray, p: float, iterations: int) -> None:

@@ -23,10 +23,13 @@ def segment_monotone(trace, prune_iterations, slack=1e-12):
 
 
 class TestOptimizeDesign:
+    #: the optimizer under test; ``TestOptimizeDesignOnLattice`` swaps it
+    run = staticmethod(rd.optimize_design)
+
     @pytest.mark.parametrize("k,d", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 4)])
     def test_uniform_limit_at_zero_parameters(self, k, d):
         m = rd.InteractionModel(k, d)
-        result = rd.optimize_design(rd.ParameterVector.zeros(m), m)
+        result = self.run(rd.ParameterVector.zeros(m), m)
         assert result.converged
         assert result.structure is DesignStructure.UNIFORM
         target = 1.0 / (1 << k)
@@ -35,7 +38,7 @@ class TestOptimizeDesign:
 
     def test_corner_limit_below_transition(self):
         m = rd.InteractionModel(2, 1)
-        result = rd.optimize_design(rd.ParameterVector.symmetric(m, 0.3), m)
+        result = self.run(rd.ParameterVector.symmetric(m, 0.3), m)
         assert result.converged
         assert result.structure is DesignStructure.CORNER
         assert sorted(result.design.support) == [0, 1, 2]
@@ -51,7 +54,7 @@ class TestOptimizeDesign:
         # weight: a deletion bound built on the relative gap drops it
         m = rd.InteractionModel(2, 1)
         theta = rd.ParameterVector.symmetric(m, lam)
-        result = rd.optimize_design(theta, m)
+        result = self.run(theta, m)
         assert result.converged
         assert result.structure is DesignStructure.INTERIOR
         assert result.design.weight((1, 1)) > min_weight
@@ -62,14 +65,13 @@ class TestOptimizeDesign:
         m = rd.InteractionModel(2, 1)
         theta = rd.ParameterVector(m, [0.0, 800.0, 0.0])
         with pytest.raises(ValueError, match="infs or NaNs"):
-            rd.optimize_design(theta, m)
+            self.run(theta, m)
 
     def test_support_deletion_reaches_corner_quickly(self):
         # just below the saturation point the corner weights converge
         # slowly; deleting (1,1) by the Harman-Pronzato bound ends the run
         m = rd.InteractionModel(2, 1)
-        result = rd.optimize_design(rd.ParameterVector.symmetric(m, 0.41), m,
-                                    max_iterations=100)
+        result = self.run(rd.ParameterVector.symmetric(m, 0.41), m, max_iterations=100)
         assert result.converged
         assert result.structure is DesignStructure.CORNER
         assert result.prune_iterations
@@ -83,7 +85,7 @@ class TestOptimizeDesign:
             vals = np.zeros(m.p)
             vals[1:] = rng.uniform(-2.0, 0.5, size=m.p - 1)
             theta = rd.ParameterVector(m, vals)
-            result = rd.optimize_design(theta, m)
+            result = self.run(theta, m)
             assert result.converged
             assert rd.kw_certificate(result.design, theta, m).optimal
 
@@ -93,7 +95,7 @@ class TestOptimizeDesign:
         for _ in range(5):
             vals = np.zeros(m.p)
             vals[1:] = rng.uniform(-2.0, 0.3, size=m.p - 1)
-            result = rd.optimize_design(rd.ParameterVector(m, vals), m)
+            result = self.run(rd.ParameterVector(m, vals), m)
             assert segment_monotone(result.log_det_trace, result.prune_iterations)
 
     def test_averaging_identity_enforced(self):
@@ -101,13 +103,13 @@ class TestOptimizeDesign:
         # must complete without tripping the self-check
         m = rd.InteractionModel(4, 2)
         theta = rd.ParameterVector.symmetric(m, 0.45, 0.8)
-        result = rd.optimize_design(theta, m)
+        result = self.run(theta, m)
         assert result.final_kw_max >= m.p - 1e-9
 
     def test_saturated_weights_uniform(self):
         m = rd.InteractionModel(3, 1)
         theta = rd.ParameterVector.symmetric(m, 0.25)
-        result = rd.optimize_design(theta, m)
+        result = self.run(theta, m)
         assert result.structure is DesignStructure.CORNER
         for value in result.design.weights.values():
             assert abs(value - 1.0 / m.p) <= 10 * 1e-7
@@ -115,20 +117,28 @@ class TestOptimizeDesign:
     def test_max_iterations_must_be_positive(self):
         m = rd.InteractionModel(2, 1)
         with pytest.raises(ValueError, match="max_iterations"):
-            rd.optimize_design(rd.ParameterVector.zeros(m), m, max_iterations=0)
+            self.run(rd.ParameterVector.zeros(m), m, max_iterations=0)
 
     def test_unconverged_run_flagged(self):
         m = rd.InteractionModel(2, 1)
-        result = rd.optimize_design(rd.ParameterVector.symmetric(m, 0.45), m,
-                                    max_iterations=2)
+        result = self.run(rd.ParameterVector.symmetric(m, 0.45), m, max_iterations=2)
         assert not result.converged
         assert result.final_kw_max > m.p
+
+
+class TestOptimizeDesignOnLattice(TestOptimizeDesign):
+    """The same tests on the 2^k lattice, the path of every parameter that is
+    not exchangeable: the zero and symmetric points above run on the orbits."""
+
+    run = staticmethod(optimizer._optimize_on_lattice)
 
 
 class TestVertexExchange:
     """Exchange steps, the saturated snap and their bookkeeping."""
 
     ROOT = math.sqrt(2) - 1
+    #: the optimizer under test; ``TestVertexExchangeOnLattice`` swaps it
+    run = staticmethod(rd.optimize_design)
 
     def test_corner_exactly_when_corner_is_certified(self):
         # near sqrt(2) - 1 the corner design passes the KW test while the
@@ -139,21 +149,21 @@ class TestVertexExchange:
         grid = [self.ROOT + h for h in offsets] + np.linspace(0.3, 0.5, 41).tolist()
         for lam in grid:
             theta = rd.ParameterVector.symmetric(m, lam)
-            result = rd.optimize_design(theta, m)
+            result = self.run(theta, m)
             assert result.converged
             certified = rd.kw_certificate(corner, theta, m).optimal
             assert (result.structure is DesignStructure.CORNER) == certified, lam
 
     def test_fast_just_above_transition(self):
         m = rd.InteractionModel(2, 1)
-        result = rd.optimize_design(rd.ParameterVector.symmetric(m, 0.4145), m)
+        result = self.run(rd.ParameterVector.symmetric(m, 0.4145), m)
         assert result.converged
         assert result.iterations <= 50
         assert result.structure is DesignStructure.INTERIOR
 
     def test_transition_iteration_budget(self, monkeypatch):
         iterations = []
-        inner = optimizer.optimize_design
+        inner = self.run
 
         def counting(*args, **kwargs):
             result = inner(*args, **kwargs)
@@ -195,7 +205,7 @@ class TestVertexExchange:
         # the p heaviest settings of an interior optimum fail the KW test,
         # so the run keeps its converged iterate
         m = rd.InteractionModel(6, 2)
-        result = rd.optimize_design(rd.ParameterVector.symmetric(m, 0.5, 0.9), m)
+        result = self.run(rd.ParameterVector.symmetric(m, 0.5, 0.9), m)
         assert result.converged
         assert result.structure is DesignStructure.INTERIOR
         assert result.support_size > m.p
@@ -255,6 +265,13 @@ class TestVertexExchange:
         # an exchange raises log det, so its entries need no segment break
         deletions = set(result.prune_iterations) - set(emptied)
         assert segment_monotone(result.log_det_trace, deletions)
+
+
+class TestVertexExchangeOnLattice(TestVertexExchange):
+    """The same tests on the 2^k lattice, so its iteration budgets near the
+    transition and its snap rules stay bounded."""
+
+    run = staticmethod(optimizer._optimize_on_lattice)
 
 
 def exchangeable(m, b):

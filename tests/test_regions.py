@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import raschdesign as rd
-from raschdesign import regions
+from raschdesign import optimizer, regions
 
 
 def symmetric_monomial_counts(q):
@@ -408,11 +408,17 @@ class TestSensitivityKernel:
             rd.optimize_design(theta, m)
             optimize_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
+            # theta is exchangeable, so optimize_design ran on the orbits;
+            # every other parameter takes the lattice
+            optimizer._optimize_on_lattice(theta, m)
+            lattice_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
             rd.kw_certificate(w, theta, m)
             certificate_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert optimize_peak < 30e6
+        assert lattice_peak < 30e6
         assert certificate_peak < 30e6
 
 
