@@ -30,10 +30,9 @@ _EXPORTS = {
         "classify_structure", "find_transition", "caratheodory_bound",
     ),
     "geometry": (
-        "PolytopeModel", "LmiSlice", "CenterResult", "CenterStatus",
-        "MembershipResult", "polytope_vertices", "lmi_slice", "analytic_center",
-        "polytope_membership", "center_path", "vertex_coordinates",
-        "log_det_gradient_hessian",
+        "PolytopeModel", "CenterResult", "CenterStatus", "MembershipResult",
+        "polytope_vertices", "analytic_center", "polytope_membership",
+        "center_path", "vertex_coordinates", "log_det_gradient_hessian",
     ),
     "symmetry": (
         "GroupElement", "Representation", "act_on_setting", "act_on_design",

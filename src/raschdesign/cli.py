@@ -427,14 +427,14 @@ def cmd_center_path(k, d, lambdas, out, matrices_out):
     if matrices_out:
         dump = []
         for row in path.rows:
-            # the slice holds only its chart rows: base and directions are built here
-            base = row.lmi.matrix(np.zeros(row.lmi.dim))
+            # the polytope holds only its chart: labels, base and directions are built here
+            pm = row.polytope
+            base = pm.matrix(np.zeros(pm.dim))
             dump.append({
                 "param": row.param,
-                "labels": list(row.lmi.labels),
+                "labels": [setting_string(x, k) for x in pm.settings[1:]],
                 "base": rows_of(base),
-                "directions": [rows_of(row.lmi.matrix(e) - base)
-                               for e in np.eye(row.lmi.dim)],
+                "directions": [rows_of(pm.matrix(e) - base) for e in np.eye(pm.dim)],
                 "center": rows_of(row.result.matrix),
             })
         write_json(matrices_out, dump)

@@ -20,17 +20,17 @@ bound k eps sum_{x subset V} 1/lambda(x).  This is the greedy chart of
 exact arithmetic.  A witness puts 0 in the affine hull, so t S lies in the
 slice for every t > 0 and log det is unbounded.
 
-Each chart direction is a vertex minus the base vertex, so the slice is the
-signed design S(u) = F^T diag(c lambda) F on the chart rows F of the
-regression matrix, with c = (1 - sum u, u).  With G2 the entrywise square of
-G = Lambda^{1/2} F S^{-1} F^T Lambda^{1/2}, log det S(u) has gradient
-G_ii - G_00 and Hessian -(G2_ij - G2_i0 - G2_0j + G2_00) (Vandenberghe, Boyd
-& Wu, SIAM J. Matrix Anal. Appl. 1998).  The superset Moebius transform of a
-point's moments (its entries at A|B = U) on the down-set |U| <= 2d, over
-lambda, gives its weights c on the settings |y| <= 2d; for a vertex x with
-|x| > 2d, c_y = (lambda_x / lambda_y) (-1)^(2d - |y|) C(|x| - |y| - 1,
-2d - |y|) on the subsets y of x.  A witness V adds t (e_V - c(V)), which
-rebuilds 0, with t = (1 - sum c) / (1 - sum c(V)).
+Each chart direction is a vertex minus the base vertex, so the polytope
+carries its slice as the signed design S(u) = F^T diag(c lambda) F on the
+chart rows F of the regression matrix, with c = (1 - sum u, u).  With G2 the
+entrywise square of G = Lambda^{1/2} F S^{-1} F^T Lambda^{1/2}, log det S(u)
+has gradient G_ii - G_00 and Hessian -(G2_ij - G2_i0 - G2_0j + G2_00)
+(Vandenberghe, Boyd & Wu, SIAM J. Matrix Anal. Appl. 1998).  The superset
+Moebius transform of a point's moments (its entries at A|B = U) on the
+down-set |U| <= 2d, over lambda, gives its weights c on the settings
+|y| <= 2d; for a vertex x with |x| > 2d, c_y = (lambda_x / lambda_y)
+(-1)^(2d - |y|) C(|x| - |y| - 1, 2d - |y|) on the subsets y of x.  A witness
+V adds t (e_V - c(V)), which rebuilds 0, with t = (1 - sum c) / (1 - sum c(V)).
 
 On a simplex chart (dim + 1 = 2^k) a point is in the polytope P when
 c = (1 - sum u, u) >= 0.  Beyond it the equivalence theorem (Kiefer &
@@ -73,7 +73,6 @@ from .model import (
     intensities,
     log_intensity,
     regression_matrix,
-    setting_string,
 )
 from .optimizer import MAX_ITERATIONS, optimize_design
 
@@ -89,7 +88,7 @@ _ROUNDING = 8 * sys.float_info.epsilon
 
 @dataclass(frozen=True, eq=False)
 class PolytopeModel:
-    """The information matrix polytope, held by its lattice chart."""
+    """The information matrix polytope, held by its lattice chart, and its LMI slice."""
 
     model: InteractionModel
     theta: ParameterVector
@@ -109,20 +108,8 @@ class PolytopeModel:
     def n_vertices(self) -> int:
         return 1 << self.model.k
 
-
-@dataclass(frozen=True, eq=False)
-class LmiSlice:
-    """Signed design S(u) = F^T diag(c lambda) F, c = (1 - sum u, u), on the chart."""
-
-    rows: np.ndarray
-    intensities: np.ndarray
-    labels: tuple[str, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
-
     def matrix(self, u) -> np.ndarray:
+        """The LMI slice: signed design S(u) = F^T diag(c lambda) F, c = (1 - sum u, u)."""
         u = np.asarray(u, dtype=float)
         c = np.concatenate([[1.0 - u.sum()], u])
         return (self.rows.T * (c * self.intensities)) @ self.rows
@@ -142,8 +129,9 @@ class CenterResult:
     status: CenterStatus
     gradient_norm: float
     iterations: int
-    inside_polytope: bool | None = None
-    weights: dict[int, float] | None = None
+    #: both None exactly when the center did not converge
+    inside_polytope: bool | None
+    weights: dict[int, float] | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,12 +167,6 @@ def polytope_vertices(theta: ParameterVector, m: InteractionModel) -> PolytopeMo
     )
 
 
-def lmi_slice(pm: PolytopeModel) -> LmiSlice:
-    """The LMI relaxation in the polytope's affine chart."""
-    labels = tuple(setting_string(x, pm.model.k) for x in pm.settings[1:])
-    return LmiSlice(pm.rows, pm.intensities, labels)
-
-
 def vertex_coordinates(pm: PolytopeModel) -> np.ndarray:
     """Chart coordinates of every vertex, row x for setting x (module notes)."""
     return _chart_coordinates(pm, _vertex_weights(pm, np.arange(pm.n_vertices)))
@@ -215,46 +197,45 @@ def _chart_coordinates(pm: PolytopeModel, c: np.ndarray) -> np.ndarray:
     return c[..., 1:]
 
 
-def _log_det_gradient(sl: LmiSlice, u) -> tuple[float, np.ndarray, np.ndarray]:
+def _log_det_gradient(pm: PolytopeModel, u) -> tuple[float, np.ndarray, np.ndarray]:
     """log det S(u), its gradient diag(G)_i - diag(G)_0, and the factor
     ``half`` = L^{-1} F^T Lambda^{1/2} of G = half^T half (module notes)."""
     try:
-        low = _cholesky(sl.matrix(u))
+        low = _cholesky(pm.matrix(u))
     except np.linalg.LinAlgError as exc:
         raise InfeasibleStart("S(u) is not positive definite") from exc
     value = 2.0 * float(np.sum(np.log(np.diag(low))))
     # a solve, not inv(low): its rounding stalls the k=2, d=1 center at
     # intensity 0.2 at max-iterations instead of converging
-    half = np.linalg.solve(low, sl.rows.T * np.sqrt(sl.intensities))
+    half = np.linalg.solve(low, pm.rows.T * np.sqrt(pm.intensities))
     diag = np.einsum("ij,ij->j", half, half)
     return value, diag[1:] - diag[0], half
 
 
-def log_det_gradient_hessian(sl: LmiSlice, u) -> tuple[float, np.ndarray, np.ndarray]:
+def log_det_gradient_hessian(pm: PolytopeModel, u) -> tuple[float, np.ndarray, np.ndarray]:
     """Value, gradient, and Hessian of u -> log det S(u) at a feasible point,
     from G (see the module notes).  Raises ``InfeasibleStart`` when S(u) is
     not positive definite."""
-    value, grad, half = _log_det_gradient(sl, u)
+    value, grad, half = _log_det_gradient(pm, u)
     g2 = np.square(half.T @ half)
     hess = g2[1:, 1:] - g2[1:, :1] - g2[:1, 1:] + g2[0, 0]
     return value, grad, -hess
 
 
-def analytic_center(sl: LmiSlice, polytope: PolytopeModel | None = None) -> CenterResult:
+def analytic_center(pm: PolytopeModel) -> CenterResult:
     """Damped Newton maximization of log det over the LMI slice, from the
     chart barycenter (module notes).  The run converges once the decrement
     of the step just taken is at most 8 eps max(1, |log det|), the rounding
-    level of log det.  A Hessian whose negative has no Cholesky factor
-    raises ``NumericalCheckError`` naming the iteration.  When ``polytope``
-    is given, membership of the center and its convex weights are filled in
-    on convergence.
+    level of log det; membership of the center and its convex weights are
+    then filled in.  A Hessian whose negative has no Cholesky factor raises
+    ``NumericalCheckError`` naming the iteration.
     """
-    u = np.full(sl.dim, 1.0 / (sl.dim + 1))
-    witnessed = polytope is not None and polytope.hull_witness is not None
+    u = np.full(pm.dim, 1.0 / (pm.dim + 1))
+    witnessed = pm.hull_witness is not None
     if witnessed:  # the slice is unbounded (module notes): no Hessian
-        value, grad, _ = _log_det_gradient(sl, u)  # raises InfeasibleStart
+        value, grad, _ = _log_det_gradient(pm, u)  # raises InfeasibleStart
     else:
-        value, grad, hess = log_det_gradient_hessian(sl, u)  # raises InfeasibleStart
+        value, grad, hess = log_det_gradient_hessian(pm, u)  # raises InfeasibleStart
     start_value = value
     status = CenterStatus.UNBOUNDED if witnessed else CenterStatus.MAX_ITERATIONS
     iterations = 0
@@ -270,7 +251,7 @@ def analytic_center(sl: LmiSlice, polytope: PolytopeModel | None = None) -> Cent
         decrement = float(half @ half)  # lambda^2 = grad^T (-hess)^{-1} grad
         step = np.linalg.solve(low.T, half)
         u = u + step / (1.0 + math.sqrt(decrement))
-        value, grad, hess = log_det_gradient_hessian(sl, u)
+        value, grad, hess = log_det_gradient_hessian(pm, u)
         if decrement <= _ROUNDING * max(1.0, abs(value)):
             status = CenterStatus.CONVERGED
             break
@@ -279,11 +260,11 @@ def analytic_center(sl: LmiSlice, polytope: PolytopeModel | None = None) -> Cent
             break
 
     inside = weights = None
-    if polytope is not None and status is CenterStatus.CONVERGED:
-        membership = polytope_membership(polytope, u)
+    if status is CenterStatus.CONVERGED:
+        membership = polytope_membership(pm, u)
         inside, weights = membership.inside, membership.weights
     return CenterResult(
-        coordinates=u, matrix=sl.matrix(u), log_det=value, status=status,
+        coordinates=u, matrix=pm.matrix(u), log_det=value, status=status,
         gradient_norm=float(np.linalg.norm(grad)), iterations=iterations,
         inside_polytope=inside, weights=weights,
     )
@@ -306,9 +287,8 @@ def polytope_membership(pm: PolytopeModel, point) -> MembershipResult:
         moments[union_index(pm.model)] = point
         down = np.where(_sizes(pm.model.k)[::-1] <= 2 * pm.model.d, moments[::-1], 0.0)
         u = _chart_coordinates(pm, mobius(down)[::-1][list(pm.settings)] / pm.intensities)
-        sl = lmi_slice(pm)
-        residual = np.linalg.norm(sl.matrix(u) - point)
-        if residual > MEMBERSHIP_TOL * max(1.0, np.linalg.norm(point - sl.matrix(0 * u))):
+        residual = np.linalg.norm(pm.matrix(u) - point)
+        if residual > MEMBERSHIP_TOL * max(1.0, np.linalg.norm(point - pm.matrix(0 * u))):
             raise NotInAffineHull(f"chart residual {residual:.3e} exceeds"
                                   f" tolerance {MEMBERSHIP_TOL:.0e}")
     else:
@@ -324,7 +304,7 @@ def polytope_membership(pm: PolytopeModel, point) -> MembershipResult:
         return MembershipResult(True, {x: float(v) for x, v in enumerate(c) if v > 0.0}, u)
 
     try:
-        value = 2.0 * float(np.sum(np.log(np.diag(_cholesky(lmi_slice(pm).matrix(u))))))
+        value = 2.0 * float(np.sum(np.log(np.diag(_cholesky(pm.matrix(u))))))
     except np.linalg.LinAlgError:  # S(u) is not positive definite: not the center
         value = -math.inf
     for budget in (1, MAX_ITERATIONS):  # iterate 1 settles a point far from the maximum
@@ -343,8 +323,8 @@ def polytope_membership(pm: PolytopeModel, point) -> MembershipResult:
 class CenterPathRow:
     param: float
     result: CenterResult
-    #: the LMI slice whose center ``result`` is.
-    lmi: LmiSlice
+    #: the polytope whose slice's center ``result`` is.
+    polytope: PolytopeModel
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,9 +345,8 @@ def center_path(
     first_exit = None
     for param, theta in thetas:
         pm = polytope_vertices(theta, m)
-        sl = lmi_slice(pm)
-        result = analytic_center(sl, polytope=pm)
-        rows.append(CenterPathRow(param=param, result=result, lmi=sl))
+        result = analytic_center(pm)
+        rows.append(CenterPathRow(param=param, result=result, polytope=pm))
         if first_exit is None and result.inside_polytope is False:
             first_exit = param
     return CenterPathResult(rows=tuple(rows), first_exit=first_exit)

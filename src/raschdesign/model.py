@@ -94,7 +94,7 @@ def setting_bits(mask: int, k: int) -> tuple[int, ...]:
 
 def setting_string(mask: int, k: int) -> str:
     """Bit-string form ``"x1 x2 ... xk"`` (no spaces) of a setting bitmask."""
-    return "".join("1" if (mask >> i) & 1 else "0" for i in range(k))
+    return format(mask, f"0{k}b")[::-1]  # x1 is the low bit; needs 0 <= mask < 2^k
 
 
 @dataclass(frozen=True)

@@ -794,7 +794,7 @@ class TestCenterPath:
         for lam, entry in zip(lambdas, dump):
             theta = rd.ParameterVector.symmetric(m, lam)
             pm = rd.polytope_vertices(theta, m)
-            assert entry["labels"] == list(rd.lmi_slice(pm).labels)
+            assert entry["labels"] == [rd.setting_string(x, 3) for x in pm.settings[1:]]
             vertices = dense_vertices(pm)
             np.testing.assert_array_equal(entry["base"], vertices[0])
             np.testing.assert_array_equal(

@@ -61,9 +61,8 @@ class TestPolytopeVertices:
             rtol=1e-12,
         )
         assert_allclose(vertices[3], 0.7 * 0.4 * np.ones((3, 3)), rtol=1e-12)
-        sl = rd.lmi_slice(pm)
         for x, u in enumerate(np.vstack([np.zeros(3), np.eye(3)])):
-            assert_allclose(sl.matrix(u), vertices[x], rtol=1e-12, atol=1e-15)
+            assert_allclose(pm.matrix(u), vertices[x], rtol=1e-12, atol=1e-15)
 
     def test_simplex_dimension(self):
         m, theta = two_rule_model(0.55, 0.85)
@@ -75,9 +74,9 @@ class TestPolytopeVertices:
         rng = np.random.default_rng(8)
         m = rd.InteractionModel(3, 2)
         theta = rd.ParameterVector(m, rng.normal(size=m.p))
-        sl = rd.lmi_slice(rd.polytope_vertices(theta, m))
-        for u in np.vstack([np.zeros(sl.dim), np.eye(sl.dim)]):
-            v = sl.matrix(u)
+        pm = rd.polytope_vertices(theta, m)
+        for u in np.vstack([np.zeros(pm.dim), np.eye(pm.dim)]):
+            v = pm.matrix(u)
             assert np.linalg.matrix_rank(v, tol=1e-10) == 1
             assert np.linalg.eigvalsh(v).min() >= -1e-12
 
@@ -95,9 +94,9 @@ class TestPolytopeVertices:
     def test_directions_linearly_independent(self):
         m = rd.InteractionModel(3, 1)
         theta = rd.ParameterVector.symmetric(m, 0.6)
-        sl = rd.lmi_slice(rd.polytope_vertices(theta, m))
-        flat = np.stack([(sl.matrix(u) - sl.matrix(np.zeros(sl.dim))).ravel()
-                         for u in np.eye(sl.dim)])
+        pm = rd.polytope_vertices(theta, m)
+        flat = np.stack([(pm.matrix(u) - pm.matrix(np.zeros(pm.dim))).ravel()
+                         for u in np.eye(pm.dim)])
         gram = flat @ flat.T
         assert np.linalg.cond(gram) < 1e10
 
@@ -191,58 +190,57 @@ class TestLatticeChart:
         assert_hull_certificate(pm)
 
 
-class TestLmiSlice:
+class TestSliceMatrix:
     def test_base_point(self):
         m, theta = two_rule_model(0.5, 0.5)
-        sl = rd.lmi_slice(rd.polytope_vertices(theta, m))
-        assert_allclose(sl.matrix([0, 0, 0]), np.diag([1.0, 0.0, 0.0]), atol=1e-15)
+        pm = rd.polytope_vertices(theta, m)
+        assert_allclose(pm.matrix([0, 0, 0]), np.diag([1.0, 0.0, 0.0]), atol=1e-15)
 
     def test_matches_explicit_matrix(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             lam1, lam2 = rng.uniform(0.1, 1.3, size=2)
             m, theta = two_rule_model(lam1, lam2)
-            sl = rd.lmi_slice(rd.polytope_vertices(theta, m))
+            pm = rd.polytope_vertices(theta, m)
             u = rng.uniform(-0.3, 0.5, size=3)
             assert_allclose(
-                sl.matrix(u), explicit_slice_matrix(lam1, lam2, *u), atol=1e-12
+                pm.matrix(u), explicit_slice_matrix(lam1, lam2, *u), atol=1e-12
             )
 
     def test_determinant_polynomial_agrees(self):
         rng = np.random.default_rng(14)
         lam1, lam2 = 0.45, 0.95
         m, theta = two_rule_model(lam1, lam2)
-        sl = rd.lmi_slice(rd.polytope_vertices(theta, m))
+        pm = rd.polytope_vertices(theta, m)
         for _ in range(100):
             u = rng.uniform(-0.5, 0.8, size=3)
-            ours = np.linalg.det(sl.matrix(u))
+            ours = np.linalg.det(pm.matrix(u))
             reference = np.linalg.det(explicit_slice_matrix(lam1, lam2, *u))
             assert_allclose(ours, reference, rtol=1e-10, atol=1e-13)
 
     def test_vertices_at_unit_coordinates(self):
         m, theta = two_rule_model(0.8, 0.3)
         pm = rd.polytope_vertices(theta, m)
-        sl = rd.lmi_slice(pm)
         for i in range(3):
             u = np.zeros(3)
             u[i] = 1.0
-            assert_allclose(sl.matrix(u), dense_vertices(pm)[i + 1], atol=1e-12)
+            assert_allclose(pm.matrix(u), dense_vertices(pm)[i + 1], atol=1e-12)
 
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_point_raises(self):
         m, theta = two_rule_model(0.5, 0.5)
-        sl = rd.lmi_slice(rd.polytope_vertices(theta, m))
+        pm = rd.polytope_vertices(theta, m)
         u = [np.inf, 0.0, 0.0]
         with pytest.raises(ValueError, match="infs or NaNs"):
-            rd.log_det_gradient_hessian(sl, u)
+            rd.log_det_gradient_hessian(pm, u)
 
 
 class TestAnalyticCenter:
     def test_zero_parameter_center(self):
         m, theta = two_rule_model(1.0, 1.0)
         pm = rd.polytope_vertices(theta, m)
-        res = rd.analytic_center(rd.lmi_slice(pm), polytope=pm)
+        res = rd.analytic_center(pm)
         assert res.status is CenterStatus.CONVERGED
         assert_allclose(res.coordinates, [0.25, 0.25, 0.25], atol=1e-9)
         assert res.inside_polytope
@@ -251,22 +249,21 @@ class TestAnalyticCenter:
         lam = math.sqrt(2) - 1
         m, theta = two_rule_model(lam, lam)
         pm = rd.polytope_vertices(theta, m)
-        res = rd.analytic_center(rd.lmi_slice(pm), polytope=pm)
+        res = rd.analytic_center(pm)
         assert_allclose(res.coordinates, [1 / 3, 1 / 3, 0.0], atol=1e-6)
 
     def test_first_order_optimality(self):
         m, theta = two_rule_model(0.5, 0.5)
         pm = rd.polytope_vertices(theta, m)
-        sl = rd.lmi_slice(pm)
-        res = rd.analytic_center(sl, polytope=pm)
-        _, grad, _ = rd.log_det_gradient_hessian(sl, res.coordinates)
+        res = rd.analytic_center(pm)
+        _, grad, _ = rd.log_det_gradient_hessian(pm, res.coordinates)
         assert np.max(np.abs(grad)) <= 1e-7
         assert res.gradient_norm <= 1e-8
 
     def test_matrix_positive_definite_at_center(self):
         m, theta = two_rule_model(0.4, 0.9)
         pm = rd.polytope_vertices(theta, m)
-        res = rd.analytic_center(rd.lmi_slice(pm), polytope=pm)
+        res = rd.analytic_center(pm)
         assert np.linalg.eigvalsh(res.matrix).min() > 0
 
     def test_unbounded_at_small_intensity(self):
@@ -275,31 +272,30 @@ class TestAnalyticCenter:
         # asserting any particular threshold
         m, theta = two_rule_model(0.05, 0.05)
         pm = rd.polytope_vertices(theta, m)
-        res = rd.analytic_center(rd.lmi_slice(pm), polytope=pm)
+        res = rd.analytic_center(pm)
         assert res.status is CenterStatus.UNBOUNDED
         assert res.inside_polytope is None
 
     def test_infeasible_start_rejected(self):
         m, theta = two_rule_model(0.5, 0.5)
-        sl = rd.lmi_slice(rd.polytope_vertices(theta, m))
+        pm = rd.polytope_vertices(theta, m)
         with pytest.raises(rd.InfeasibleStart):
-            rd.log_det_gradient_hessian(sl, [5.0, 5.0, -9.0])
+            rd.log_det_gradient_hessian(pm, [5.0, 5.0, -9.0])
 
     def test_global_maximality_spot_check(self):
         rng = np.random.default_rng(21)
         m, theta = two_rule_model(0.6, 0.35)
         pm = rd.polytope_vertices(theta, m)
-        sl = rd.lmi_slice(pm)
-        res = rd.analytic_center(sl, polytope=pm)
+        res = rd.analytic_center(pm)
         coords = rd.vertex_coordinates(pm)
         for i in range(pm.n_vertices):
             for j in range(i + 1, pm.n_vertices):
                 midpoint = 0.5 * (coords[i] + coords[j])
-                sign, value = np.linalg.slogdet(sl.matrix(midpoint))
+                sign, value = np.linalg.slogdet(pm.matrix(midpoint))
                 if sign > 0:
                     assert res.log_det >= value - 1e-9
         for u in sample_feasible_coordinates(pm, rng, 1000):
-            sign, value = np.linalg.slogdet(sl.matrix(u))
+            sign, value = np.linalg.slogdet(pm.matrix(u))
             if sign > 0:
                 assert res.log_det >= value - 1e-9
 
@@ -307,15 +303,14 @@ class TestAnalyticCenter:
         rng = np.random.default_rng(22)
         m, theta = two_rule_model(0.62, 0.44)
         pm = rd.polytope_vertices(theta, m)
-        sl = rd.lmi_slice(pm)
         step = 1e-5
         for u in sample_feasible_coordinates(pm, rng, 20):
-            value, grad, hess = rd.log_det_gradient_hessian(sl, u)
-            for i in range(sl.dim):
-                bump = np.zeros(sl.dim)
+            value, grad, hess = rd.log_det_gradient_hessian(pm, u)
+            for i in range(pm.dim):
+                bump = np.zeros(pm.dim)
                 bump[i] = step
-                f_plus, g_plus, _ = rd.log_det_gradient_hessian(sl, u + bump)
-                f_minus, g_minus, _ = rd.log_det_gradient_hessian(sl, u - bump)
+                f_plus, g_plus, _ = rd.log_det_gradient_hessian(pm, u + bump)
+                f_minus, g_minus, _ = rd.log_det_gradient_hessian(pm, u - bump)
                 fd_grad = (f_plus - f_minus) / (2 * step)
                 assert abs(grad[i] - fd_grad) <= 1e-5 * max(1.0, abs(fd_grad))
                 fd_hess_col = (g_plus - g_minus) / (2 * step)
@@ -331,7 +326,7 @@ class TestAnalyticCenter:
 
         def center(lam):
             pm = rd.polytope_vertices(rd.ParameterVector.symmetric(m, lam), m)
-            return rd.analytic_center(rd.lmi_slice(pm), polytope=pm)
+            return rd.analytic_center(pm)
 
         res = center(0.4548607060899141)
         near = center(0.45486070609)
@@ -344,7 +339,7 @@ class TestAnalyticCenter:
     def cold_center(k, d, lam):
         m = rd.InteractionModel(k, d)
         pm = rd.polytope_vertices(rd.ParameterVector.symmetric(m, lam), m)
-        return rd.analytic_center(rd.lmi_slice(pm), polytope=pm)
+        return rd.analytic_center(pm)
 
     def test_cold_start_converges_at_small_intensity(self):
         # a backtracking line search stalls at this point with gradient 8.5e-9
@@ -369,11 +364,13 @@ class TestAnalyticCenter:
         # a chart with one setting repeated has two equal directions, which
         # make -H singular at every point; at the barycenter
         # S = [[1, 2/3], [2/3, 2/3]] is positive definite
+        m = rd.InteractionModel(1, 1)
         rows = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
-        sl = rd.LmiSlice(rows, np.ones(3), ("a", "b"))
-        assert_allclose(sl.matrix([1 / 3, 1 / 3]), [[1, 2 / 3], [2 / 3, 2 / 3]])
+        pm = rd.PolytopeModel(m, rd.ParameterVector.zeros(m), (0, 1, 1), rows,
+                              np.ones(3), hull_witness=None)
+        assert_allclose(pm.matrix([1 / 3, 1 / 3]), [[1, 2 / 3], [2 / 3, 2 / 3]])
         with pytest.raises(rd.NumericalCheckError, match=r"Newton iteration 1\b"):
-            rd.analytic_center(sl)
+            rd.analytic_center(pm)
 
     def test_converged_centers_are_stationary_on_a_grid(self):
         for k in (2, 3, 4):
@@ -409,7 +406,7 @@ class TestAnalyticCenter:
         pm = rd.polytope_vertices(rd.ParameterVector.symmetric(m, 0.5), m)
         assert pm.rows.shape == (6197, m.p)
         assert pm.hull_witness == 31
-        res = rd.analytic_center(rd.lmi_slice(pm), polytope=pm)
+        res = rd.analytic_center(pm)
         assert res.status is CenterStatus.UNBOUNDED
         assert res.iterations == 0
         assert np.isfinite(res.log_det) and np.isfinite(res.gradient_norm)
@@ -425,7 +422,7 @@ class TestSaturatedCrossCertificate:
         m = rd.InteractionModel(k, d)
         theta = rd.ParameterVector.symmetric(m, lam)
         pm = rd.polytope_vertices(theta, m)
-        res = rd.analytic_center(rd.lmi_slice(pm), polytope=pm)
+        res = rd.analytic_center(pm)
         opt = rd.optimize_design(theta, m)
         assert res.inside_polytope
         assert opt.converged
@@ -437,7 +434,7 @@ class TestSaturatedCrossCertificate:
     def test_center_leaves_below_the_transition(self, k, d):
         m = rd.InteractionModel(k, d)
         pm = rd.polytope_vertices(rd.ParameterVector.symmetric(m, 0.3), m)
-        res = rd.analytic_center(rd.lmi_slice(pm), polytope=pm)
+        res = rd.analytic_center(pm)
         assert res.status is CenterStatus.CONVERGED
         assert res.inside_polytope is False
 
@@ -446,7 +443,7 @@ class TestMembership:
     def test_center_inside_with_barycentric_weights(self):
         m, theta = two_rule_model(0.5, 0.5)
         pm = rd.polytope_vertices(theta, m)
-        res = rd.analytic_center(rd.lmi_slice(pm), polytope=pm)
+        res = rd.analytic_center(pm)
         assert res.inside_polytope
         x, y, z = res.coordinates
         assert_allclose(res.weights[0], 1 - x - y - z, atol=1e-9)
@@ -457,7 +454,7 @@ class TestMembership:
     def test_negative_coordinate_outside(self):
         m, theta = two_rule_model(0.4, 0.4)
         pm = rd.polytope_vertices(theta, m)
-        res = rd.analytic_center(rd.lmi_slice(pm), polytope=pm)
+        res = rd.analytic_center(pm)
         assert res.coordinates[2] < 0
         assert not res.inside_polytope
         assert res.weights is None
@@ -484,7 +481,7 @@ class TestMembership:
         theta = rd.ParameterVector.zeros(m)
         pm = rd.polytope_vertices(theta, m)
         assert pm.n_vertices > pm.dim + 1 and pm.hull_witness is None
-        res = rd.analytic_center(rd.lmi_slice(pm), polytope=pm)
+        res = rd.analytic_center(pm)
         assert res.inside_polytope
         assert res.weights == dict(rd.optimize_design(theta, m).design.weights)
         total = sum(res.weights.values())
@@ -522,7 +519,7 @@ class TestMembership:
         for lam in (0.9, 0.95, 1.0):
             theta = rd.ParameterVector.symmetric(m, lam)
             pm = rd.polytope_vertices(theta, m)
-            res = rd.analytic_center(rd.lmi_slice(pm), polytope=pm)
+            res = rd.analytic_center(pm)
             assert res.inside_polytope
 
     def test_far_point_outside_by_the_equivalence_theorem(self):
@@ -544,7 +541,7 @@ class TestMembership:
         theta = rd.ParameterVector(m, np.array([0.0, 0.0, -1.5, -1.2]))
         pm = rd.polytope_vertices(theta, m)
         assert pm.hull_witness is None and pm.n_vertices > pm.dim + 1
-        res = rd.analytic_center(rd.lmi_slice(pm), polytope=pm)
+        res = rd.analytic_center(pm)
         opt = rd.optimize_design(theta, m)
         assert res.status is CenterStatus.CONVERGED
         assert res.inside_polytope is False and res.weights is None
@@ -572,9 +569,8 @@ class TestMembership:
                 rd.polytope_membership(pm, mixture)
 
         coords = rd.vertex_coordinates(pm)
-        sl = rd.lmi_slice(pm)
         for u, vertex in zip(coords, vertices):
-            assert np.abs(sl.matrix(u) - vertex).max() <= 1e-12 * np.abs(vertex).max()
+            assert np.abs(pm.matrix(u) - vertex).max() <= 1e-12 * np.abs(vertex).max()
         # the oracle: least squares on the dense chart's flattened directions,
         # whose condition number reaches 8e10 at (8,4), where it misses by 2.5e-7
         flat = (vertices - vertices[0]).reshape(pm.n_vertices, -1)
@@ -622,7 +618,7 @@ def test_center_membership_matches_the_nnls_oracle():
     for theta in dependent_points():
         m = theta.model
         pm = rd.polytope_vertices(theta, m)
-        res = rd.analytic_center(rd.lmi_slice(pm), polytope=pm)
+        res = rd.analytic_center(pm)
         if res.status is not CenterStatus.CONVERGED:
             continue
         assert pm.n_vertices > pm.dim + 1
@@ -660,19 +656,19 @@ class TestCenterPath:
         warm = rd.center_path(pairs, m)
         for row, (_, theta) in zip(warm.rows, pairs):
             pm = rd.polytope_vertices(theta, m)
-            cold = rd.analytic_center(rd.lmi_slice(pm), polytope=pm)
+            cold = rd.analytic_center(pm)
             assert_allclose(row.result.coordinates, cold.coordinates, atol=1e-6)
 
     def test_rows_carry_their_slice(self):
         m = rd.InteractionModel(3, 1)
         pairs = [(lam, rd.ParameterVector.symmetric(m, lam)) for lam in (1.0, 0.8)]
         for row, (_, theta) in zip(rd.center_path(pairs, m).rows, pairs):
-            fresh = rd.lmi_slice(rd.polytope_vertices(theta, m))
-            assert row.lmi.labels == fresh.labels
-            np.testing.assert_array_equal(row.lmi.rows, fresh.rows)
-            np.testing.assert_array_equal(row.lmi.intensities, fresh.intensities)
+            fresh = rd.polytope_vertices(theta, m)
+            assert row.polytope.settings == fresh.settings
+            np.testing.assert_array_equal(row.polytope.rows, fresh.rows)
+            np.testing.assert_array_equal(row.polytope.intensities, fresh.intensities)
             np.testing.assert_array_equal(
-                row.result.matrix, row.lmi.matrix(row.result.coordinates)
+                row.result.matrix, row.polytope.matrix(row.result.coordinates)
             )
 
     def test_single_point_grid(self):

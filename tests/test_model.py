@@ -64,7 +64,7 @@ class TestInteractionModel:
         with pytest.raises(rd.ModelSizeError):
             rd.InteractionModel(21, 1)
 
-    @given(st.integers(min_value=1, max_value=12), st.data())
+    @given(st.integers(min_value=1, max_value=20), st.data())
     def test_setting_mask_round_trips(self, k, data):
         mask = data.draw(st.integers(min_value=0, max_value=(1 << k) - 1))
         bits = rd.setting_bits(mask, k)
