@@ -7,7 +7,7 @@ bitmask (bit ``i-1`` holds rule ``i``).  This module owns the subset-sum
 transform), the masks of the subsets of one size, and the two cached
 index tables that read the lattice in a model's subset order: the masks
 A|B of the information matrix and the sets C of the corner inequality
-system.
+system, whose rule tuples ``corner_labels`` makes on demand.
 Like every module of the package, it runs no numpy code at import.
 """
 
@@ -74,31 +74,33 @@ def masks_of_size(k: int, size: int):
     return map(sum, combinations([1 << i for i in range(k)], size))
 
 
+def corner_labels(k: int, d: int):
+    """The rule tuples of ``corner_index``'s masks, in order, made on demand."""
+    return chain.from_iterable(
+        combinations(range(1, k + 1), size) for size in range(d + 1, k + 1)
+    )
+
+
 @lru_cache(maxsize=8)
 def corner_index(m):
-    """Labels, masks and coefficients of the corner system of model ``m``.
+    """Masks and coefficients of the corner system of model ``m``.
 
-    The labels are the sets C with |C| > d, in (|C|, lexicographic) order.
-    ``coeffs[j, i]`` is C(|C|-j-1, d-j)^2 for the i-th set C, the
-    coefficient shared by every term whose omitted subset has size j.
+    ``masks[i]`` is the i-th set C with |C| > d, in (|C|, lexicographic)
+    order; ``coeffs[j, i]`` is C(|C|-j-1, d-j)^2 for it, the coefficient
+    shared by every term whose omitted subset has size j.
     """
     k, d = m.k, m.d
     sizes = range(d + 1, k + 1)
-    labels = tuple(chain.from_iterable(
-        combinations(range(1, k + 1), size) for size in sizes
-    ))
-    masks = np.fromiter(
-        chain.from_iterable(masks_of_size(k, size) for size in sizes),
-        dtype=np.intp, count=len(labels),
-    )
+    counts = [math.comb(k, c) for c in sizes]
+    masks = np.fromiter(chain.from_iterable(masks_of_size(k, c) for c in sizes),
+                        dtype=np.intp, count=sum(counts))
     table = np.array(
         [[math.comb(c - j - 1, d - j) ** 2 for c in sizes] for j in range(d + 1)],
         dtype=float,
     )
     # one column per set C, taken from its size's column
-    counts = [math.comb(k, c) for c in sizes]
     coeffs = table[:, np.repeat(np.arange(len(sizes)), counts)]
     # the cache hands these arrays to every caller
     masks.setflags(write=False)
     coeffs.setflags(write=False)
-    return labels, masks, coeffs
+    return masks, coeffs

@@ -37,18 +37,15 @@ ascent on the orbit weights costs O(k d^3), and no p x p array exists.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from ._numpy import np
 from .exceptions import SingularInformation
 from .model import Design, _LOG_MAX, _check_model, _cholesky, _overflow, choose
 
 
-@lru_cache(maxsize=8)
 def orbit_blocks(k: int, d: int):
     """The vectors ``h[r, c]``, zero-padded to d + 1 rows, their blocks'
-    multiplicities ``mu`` and the identity ``pad`` on the padding; cached,
-    so read-only."""
+    multiplicities ``mu`` and the identity ``pad`` on the padding."""
     blocks = range(min(d, k // 2) + 1)
     h = np.zeros((len(blocks), k + 1, d + 1))
     pad = np.zeros((len(blocks), d + 1, d + 1))
@@ -61,8 +58,6 @@ def orbit_blocks(k: int, d: int):
                 h[r, c, a] = math.sqrt(
                     choose(c - r, i - r) * choose(k - i - r, c - i) / math.comb(k, c))
     mu = np.array([math.comb(k, r) - choose(k, r - 1) for r in blocks], dtype=float)
-    for array in (h, mu, pad):
-        array.setflags(write=False)
     return h, mu, pad
 
 

@@ -21,11 +21,13 @@ import json
 import math
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 import click
 
 from . import __version__
+from ._lattice import corner_labels
 from ._numpy import np
 from .exceptions import InputFormatError, RaschDesignError
 from .model import InteractionModel, ParameterVector, setting_string
@@ -48,10 +50,6 @@ from .serialize import load_design, load_parameters, save_design, write_json
 
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
-
-
-def _set(label) -> str:
-    return "{" + ",".join(map(str, label)) + "}"
 
 
 def _writes(param) -> bool:
@@ -285,18 +283,19 @@ _RECORD = (
 )
 
 
-def _inequality_blocks(labels, values, verdict):
+def _inequality_blocks(m, values, verdict):
     """The system ``_BLOCK`` inequalities at a time, as lists of the sets
     (rules joined by commas), the lhs floats and the satisfied flags.  A
     flag is the verdict's own comparison, lhs > bound (1 + THEOREM_TOL)."""
     limit = verdict.bound * (1.0 + THEOREM_TOL)
-    for start in range(0, len(labels), _BLOCK):
+    labels = corner_labels(m.k, m.d)
+    for start in range(0, values.size, _BLOCK):
         block = values[start:start + _BLOCK]
-        yield ([",".join(map(str, c)) for c in labels[start:start + _BLOCK]],
+        yield ([",".join(map(str, c)) for c in islice(labels, _BLOCK)],
                block.tolist(), (~(block > limit)).tolist())
 
 
-def _write_inequalities(out, m, labels, values, verdict) -> None:
+def _write_inequalities(out, m, values, verdict) -> None:
     """The bytes of ``write_json`` on the command's payload, a block at a time.
 
     ``json.dumps`` with an indent has no C encoder and holds every chunk, so
@@ -310,7 +309,7 @@ def _write_inequalities(out, m, labels, values, verdict) -> None:
     with open(out, "w") as fh:
         fh.write('{\n  "k": %d,\n  "d": %d,\n  "inequalities": [' % (m.k, m.d))
         separator = "\n"
-        for sets, lhs, satisfied in _inequality_blocks(labels, values, verdict):
+        for sets, lhs, satisfied in _inequality_blocks(m, values, verdict):
             fh.write(separator + ",\n".join(map(_RECORD.__mod__, zip(
                 (text.replace(",", ",\n        ") for text in sets),
                 map(float.__repr__, lhs),
@@ -318,9 +317,9 @@ def _write_inequalities(out, m, labels, values, verdict) -> None:
             ))))
             separator = ",\n"
         # an empty system (d == k) has no maximum
-        max_lhs = verdict.max_directional_value if labels else None
+        max_lhs = verdict.max_directional_value if values.size else None
         fh.write('%s,\n  "optimal": %s,\n  "max_lhs": %s\n}\n' % (
-            "\n  ]" if labels else "]", json.dumps(verdict.optimal),
+            "\n  ]" if values.size else "]", json.dumps(verdict.optimal),
             json.dumps(max_lhs)))
 
 
@@ -331,11 +330,11 @@ def _write_inequalities(out, m, labels, values, verdict) -> None:
 def inequalities(theta, out):
     """List the corner-optimality inequalities with their values."""
     m = theta.model
-    labels, values = corner_lhs(theta, m)
+    values = corner_lhs(theta, m)
     verdict = _theorem_verdict(values, m)
     # "%.12g" prints the same digits as _fmt
     line = "C={%s}  lhs=%.12g  %s"
-    for sets, lhs, satisfied in _inequality_blocks(labels, values, verdict):
+    for sets, lhs, satisfied in _inequality_blocks(m, values, verdict):
         click.echo("\n".join(map(line.__mod__, zip(
             sets, lhs, map(("VIOLATED", "ok ").__getitem__, satisfied),
         ))))
@@ -344,7 +343,7 @@ def inequalities(theta, out):
         state += " (boundary)"
     click.echo(f"verdict: {state}  max-lhs={_fmt(verdict.max_directional_value)}")
     if out:
-        _write_inequalities(out, m, labels, values, verdict)
+        _write_inequalities(out, m, values, verdict)
 
 
 @main.command()
@@ -530,12 +529,12 @@ def compare(k, d, params, samples, seed, beta_low, beta_high, echo, out):
         theta = _resolve_theta(k, d, params, None, None)
         m = theta.model
         w = corner_design(m)
-        labels, values = corner_lhs(theta, m)
+        values = corner_lhs(theta, m)
         saturated = saturated_kw_values(w, theta, m)
         click.echo("\n".join(
             ["inequality system:"]
-            + [f"  C={_set(label)}  lhs={_fmt(lhs)}"
-               for label, lhs in zip(labels, values.tolist())]
+            + [f"  C={{{','.join(map(str, label))}}}  lhs={_fmt(lhs)}"
+               for label, lhs in zip(corner_labels(m.k, m.d), values.tolist())]
         ))
         click.echo("saturated sensitivities (value 1 on the support):")
         for x, value in saturated.items():
@@ -548,6 +547,8 @@ def compare(k, d, params, samples, seed, beta_low, beta_high, echo, out):
     m = _model(k, d)
     if beta_low >= beta_high:
         raise click.UsageError("--beta-low must be below --beta-high")
+    if not math.isfinite(beta_high - beta_low):
+        raise click.UsageError("--beta-high minus --beta-low must be a finite float")
     rng = np.random.default_rng(seed)
     w = corner_design(m)
     disagreements = []

@@ -18,7 +18,9 @@ is sum_j C(|C|-j-1, d-j)^2 exp(S(C) + log Z_j(C)).  S is a zeta transform
 and log Z_0..log Z_d are log-space zeta transforms over the 2^k bitmasks
 (``_lattice``), so every set takes one path whatever the span of beta.
 The cost is O((d+1) k 2^k) instead of one Python loop over every term of
-every C.  Both forms read the system at base intensity mu_{} = 1.
+every C.  Both forms read the system at base intensity mu_{} = 1.  A set
+C is held only as its bitmask; ``_lattice.corner_labels`` spells the sets
+out in the same order for the listings.
 The module also provides two deliberately independent D-optimality
 certificates for cross-checking:
 
@@ -65,7 +67,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from ._lattice import corner_index, log_zeta, zeta
+from ._lattice import corner_index, corner_labels, log_zeta, zeta
 from ._numpy import np
 from .exceptions import NotSaturated, SingularInformation, SingularSupport
 from .model import (
@@ -128,21 +130,27 @@ class MonomialInequality:
         return " + ".join(parts) + " <= 1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimalityVerdict:
     """Outcome of an optimality check.
 
     ``max_directional_value`` is the largest left-hand side (bound 1 for
     the inequality system, bound p for sensitivity checks).  ``boundary``
-    marks a maximum within bound * tol of the bound.
+    marks a maximum within bound * tol of the bound.  The masks of the
+    violated sets or settings are named only when ``violated_labels`` is read.
     """
 
     optimal: bool
     max_directional_value: float
     bound: float
     worst_setting: tuple[int, ...]
-    violated_labels: tuple[tuple[int, ...], ...]
+    _violated: np.ndarray
     boundary: bool
+
+    @property
+    def violated_labels(self) -> tuple[tuple[int, ...], ...]:
+        """The rules of each violated set or setting, in the checked order."""
+        return tuple(map(mask_subset, self._violated.tolist()))
 
 
 def corner_design(m: InteractionModel) -> Design:
@@ -159,7 +167,7 @@ def corner_inequalities(m: InteractionModel) -> list[MonomialInequality]:
     Entries are ordered by (|C|, lexicographic), giving
     sum_{c=d+1}^{k} C(k, c) inequalities.
     """
-    return [_inequality(c, m.d) for c in corner_index(m)[0]]
+    return [_inequality(c, m.d) for c in corner_labels(m.k, m.d)]
 
 
 def _inequality(label: tuple[int, ...], d: int) -> MonomialInequality:
@@ -190,13 +198,11 @@ def evaluate_inequality(q: MonomialInequality, theta: ParameterVector) -> float:
     )
 
 
-def corner_lhs(
-    theta: ParameterVector, m: InteractionModel
-) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+def corner_lhs(theta: ParameterVector, m: InteractionModel) -> np.ndarray:
     """Left-hand side of every corner inequality, from subset-sum transforms.
 
-    Returns ``(labels, values)`` in ``corner_inequalities`` order, read at
-    mu of the empty set 1, as ``evaluate_inequality`` reads them.  With
+    Returns the values in ``corner_inequalities`` order, read at mu of the
+    empty set 1, as ``evaluate_inequality`` reads them.  With
     S(C) the sum of beta_A over A in C, |A| <= d, the inequality of C is
 
         sum_j C(|C|-j-1, d-j)^2 * exp(S(C) + log Z_j(C)),
@@ -204,68 +210,63 @@ def corner_lhs(
 
     S is a zeta transform and log Z_0..log Z_d are ``log_zeta`` transforms
     of -beta placed level by level on the 2^k lattice, so no sum under- or
-    overflows before the one exp per term.  Overflow gives inf, never NaN.
+    overflows before the one exp per term.  Overflow gives inf, never NaN:
+    where the partial sums of S(C) overflow to both +inf and -inf, a
+    ``ValueError`` names the first such set C.
     """
     _check_model(theta, m)
-    labels, masks, coeffs = corner_index(m)
+    masks, coeffs = corner_index(m)
     beta = theta.with_base_zero().values
     where = np.asarray(m.masks, dtype=np.intp)
     sums = np.zeros(1 << m.k)
     sums[where] = beta
     log_z = np.full((m.d + 1, 1 << m.k), -np.inf)
     log_z[np.asarray(m.cards), where] = -beta
-    exponents = zeta(sums)[masks] + log_zeta(log_z)[:, masks]
-    with np.errstate(over="ignore"):
-        return labels, (coeffs * np.exp(exponents)).sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponents = zeta(sums)[masks] + log_zeta(log_z)[:, masks]
+        values = (coeffs * np.exp(exponents)).sum(axis=0)
+    if np.isnan(values).any():
+        rules = ",".join(map(str, mask_subset(int(masks[np.isnan(values).argmax()]))))
+        raise ValueError(f"the beta sum overflows at C={{{rules}}}: its partial sums "
+                         "reach both +inf and -inf, so its lhs would be NaN")
+    return values
 
 
 def is_corner_optimal_by_theorem(
     theta: ParameterVector, m: InteractionModel
 ) -> OptimalityVerdict:
     """Check every corner inequality; optimal iff all LHS <= 1 + THEOREM_TOL."""
-    return _theorem_verdict(corner_lhs(theta, m)[1], m)
+    return _theorem_verdict(corner_lhs(theta, m), m)
 
 
 def _theorem_verdict(values: np.ndarray, m: InteractionModel) -> OptimalityVerdict:
-    """Verdict of the system from its ``corner_lhs`` values; the violated
-    labels are the cached tuples of ``corner_index``."""
-    labels, masks, _ = corner_index(m)
-    return _verdict(values, masks, 1.0, THEOREM_TOL, m.k, labels)
+    """Verdict of the system from its ``corner_lhs`` values."""
+    return _verdict(values, corner_index(m)[0], 1.0, THEOREM_TOL, m.k)
 
 
 def _verdict(
-    values: np.ndarray,
-    masks: Sequence[int],
-    bound: float,
-    tol: float,
-    k: int,
-    labels: Sequence[tuple[int, ...]] | None = None,
+    values: np.ndarray, masks: np.ndarray, bound: float, tol: float, k: int
 ) -> OptimalityVerdict:
     """The one optimality rule of both certificates.
 
-    ``values[i]`` belongs to the set or setting ``masks[i]``; a ``range``
-    serves for settings indexed by mask, at no memory cost.  A value is
+    ``values[i]`` belongs to the set or setting ``masks[i]``.  A value is
     violated when it exceeds bound (1 + tol); the verdict is on the
     boundary when the largest value is within bound * tol of the bound.
-    ``labels[i]``, when given, names set i among the violated labels;
-    otherwise its rules are read off ``masks[i]``.
-    An empty system (k = d) is optimal, with maximum -inf at setting 0.
+    The verdict holds the violated masks and names their rules only when
+    asked.  An empty system (k = d) is optimal, with maximum -inf at
+    setting 0.
     """
     best, worst = -math.inf, 0
     if values.size:
         i = int(np.argmax(values))
         best, worst = float(values[i]), int(masks[i])
-    over = np.flatnonzero(values > bound * (1.0 + tol)).tolist()
-    if labels is None:
-        violated = tuple(mask_subset(int(masks[i])) for i in over)
-    else:
-        violated = tuple(map(labels.__getitem__, over))
+    over = masks[values > bound * (1.0 + tol)]
     return OptimalityVerdict(
-        optimal=not violated,
+        optimal=not over.size,
         max_directional_value=best,
         bound=bound,
         worst_setting=setting_bits(worst, k),
-        violated_labels=violated,
+        _violated=over,
         boundary=abs(best - bound) <= bound * tol,
     )
 
@@ -293,7 +294,7 @@ def kw_certificate(
 ) -> OptimalityVerdict:
     """Equivalence-theorem check: optimal iff max_x d(x) <= p (1 + KW_TOL)."""
     d = sensitivities(w, theta, m)
-    return _verdict(d, range(d.size), float(m.p), KW_TOL, m.k)
+    return _verdict(d, np.arange(d.size), float(m.p), KW_TOL, m.k)
 
 
 def saturated_kw_values(

@@ -18,7 +18,7 @@ from click.testing import CliRunner
 from numpy.testing import assert_allclose
 
 import raschdesign as rd
-from raschdesign._lattice import corner_index
+from raschdesign._lattice import corner_index, corner_labels
 from raschdesign.cli import main
 from raschdesign.regions import THEOREM_TOL
 
@@ -204,6 +204,20 @@ def test_overflowing_intensity_exit_1(fresh_python, tmp_path, command):
     assert "Traceback" not in output
 
 
+def test_corner_sums_overflowing_both_ways_exit_1(fresh_python, tmp_path):
+    # finite betas whose zeta sum for C = {1,2,3} would be inf - inf; a fresh
+    # process, so a numpy RuntimeWarning would reach its stderr
+    beta = '{"1": -1e308, "2": -1e308, "1,3": 1e308, "2,3": 1e308}'
+    proc = fresh_python("-m", "raschdesign.cli", "inequalities", "--k", "3", "--d", "2",
+                        "--beta", beta, cwd=tmp_path)
+    output = proc.stdout + proc.stderr
+    assert proc.returncode == 1, output
+    assert "Error: the beta sum overflows at C={1,2,3}" in proc.stderr
+    assert proc.stdout == ""
+    assert "nan" not in output and "RuntimeWarning" not in output
+    assert "Traceback" not in output
+
+
 #: Commands run at the (3,2) point with every other beta -0.3; ``{params}``.
 BASE_SHIFT_RUNS = {
     "optimize": ["--params", "{params}", "--out", "design.json"],
@@ -246,6 +260,9 @@ def test_base_parameter_moves_no_answer(fresh_python, tmp_path, command):
      "--beta-low", "nan", "--beta-high", "1"],
     ["compare", "--k", "3", "--d", "1", "--samples", "5",
      "--beta-low", "-inf", "--beta-high", "1"],
+    # both bounds are finite, but their difference is no float
+    ["compare", "--k", "3", "--d", "2", "--samples", "5",
+     "--beta-low", "-1e308", "--beta-high", "1e308"],
     ["inequalities", "--k", "2", "--d", "1", "--symmetric", "s=nan"],
     ["inequalities", "--k", "2", "--d", "1", "--symmetric", "s=inf"],
     ["inequalities", "--k", "3", "--d", "2", "--symmetric", "s=0.5,t=nan"],
@@ -257,7 +274,8 @@ def test_base_parameter_moves_no_answer(fresh_python, tmp_path, command):
     ["inequalities", "--k", "2", "--d", "1", "--symmetric", "s=0.5,t=0.5"],
 ], ids=["max-iterations", "kw-tolerance", "kw-tolerance-removed", "prune-threshold",
         "samples",
-        "compare-beta-low-nan", "compare-beta-low-inf", "symmetric-s-nan",
+        "compare-beta-low-nan", "compare-beta-low-inf", "compare-range-overflow",
+        "symmetric-s-nan",
         "symmetric-s-inf", "symmetric-t-nan", "beta-nan", "beta-overflow",
         "beta-int-overflow", "symmetric-s-negative", "symmetric-t-negative",
         "symmetric-t-at-d-1"])
@@ -522,7 +540,8 @@ def whole_listing(theta):
     """Stdout and JSON of ``inequalities`` built whole in memory: every record,
     every line and json.dumps' chunks at once, as the command once built them."""
     m = theta.model
-    labels, values = rd.corner_lhs(theta, m)
+    labels = tuple(corner_labels(m.k, m.d))
+    values = rd.corner_lhs(theta, m)
     verdict = rd.is_corner_optimal_by_theorem(theta, m)
     violated = set(verdict.violated_labels)
     records, lines = [], []

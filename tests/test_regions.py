@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from numpy.testing import assert_allclose
 
 import raschdesign as rd
 from raschdesign import optimizer, regions
+from raschdesign._lattice import corner_index, corner_labels
 
 
 def symmetric_monomial_counts(q):
@@ -150,10 +152,21 @@ class TestCornerLhs:
         rng = np.random.default_rng(1000 * k + d)
         m = rd.InteractionModel(k, d)
         theta = rd.ParameterVector(m, rng.normal(scale=0.5, size=m.p))
-        labels, values = rd.corner_lhs(theta, m)
+        values = rd.corner_lhs(theta, m)
         ref_labels, ref_values = reference_lhs(theta, m)
-        assert labels == ref_labels
+        assert tuple(corner_labels(k, d)) == ref_labels
         assert_allclose(values, ref_values, rtol=1e-12)
+
+    @pytest.mark.parametrize("k,d", [(1, 1), (3, 2), (6, 2), (12, 3)])
+    def test_index_holds_masks_and_coefficients_only(self, k, d):
+        # the sets are their masks; corner_labels spells them out in mask order
+        m = rd.InteractionModel(k, d)
+        index = corner_index(m)
+        assert len(index) == 2
+        masks, coeffs = index
+        assert masks.dtype == np.intp and coeffs.dtype == float
+        assert coeffs.shape == (d + 1, masks.size)
+        assert [rd.mask_subset(x) for x in masks.tolist()] == list(corner_labels(k, d))
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -165,9 +178,9 @@ class TestCornerLhs:
             st.floats(min_value=-4.0, max_value=1.5), min_size=m.p, max_size=m.p,
         ), label="beta")
         theta = rd.ParameterVector(m, beta)
-        labels, values = rd.corner_lhs(theta, m)
+        values = rd.corner_lhs(theta, m)
         ref_labels, ref_values = reference_lhs(theta, m)
-        assert labels == ref_labels
+        assert tuple(corner_labels(k, d)) == ref_labels
         assert_allclose(values, ref_values, rtol=1e-12)
         verdict = rd.is_corner_optimal_by_theorem(theta, m)
         bad = tuple(c for c, v in zip(ref_labels, ref_values) if v > 1.0 + rd.regions.THEOREM_TOL)
@@ -182,7 +195,7 @@ class TestCornerLhs:
             theta = rd.ParameterVector(
                 m, np.concatenate([[0.0], np.full(m.p - 1, -200.0)])
             )
-            _, values = rd.corner_lhs(theta, m)
+            values = rd.corner_lhs(theta, m)
             assert values.size and np.all(values < 1e-100)
 
     def test_wide_span_sends_fallback(self):
@@ -192,7 +205,7 @@ class TestCornerLhs:
         beta = {"1": -400.0, "2": -400.0, "3": -400.0, "4,5": -400.0}
         beta.update({"1,2": 400.0, "1,3": 400.0, "2,3": 400.0})
         theta = rd.ParameterVector.from_dict(m, beta)
-        _, values = rd.corner_lhs(theta, m)
+        values = rd.corner_lhs(theta, m)
         _, ref_values = reference_lhs(theta, m)
         assert not np.isnan(values).any()
         assert_allclose(values, ref_values, rtol=1e-12)
@@ -204,9 +217,9 @@ class TestCornerLhs:
         theta = rd.ParameterVector.from_dict(
             m, {"4,5": -800.0, "1,2": -50.0, "1,3": -50.0, "2,3": -50.0}
         )
-        labels, values = rd.corner_lhs(theta, m)
-        _, ref_values = reference_lhs(theta, m)
-        assert_allclose(values[labels.index((1, 2, 3))], 3 * math.exp(-100), rtol=1e-12)
+        values = rd.corner_lhs(theta, m)
+        ref_labels, ref_values = reference_lhs(theta, m)
+        assert_allclose(values[ref_labels.index((1, 2, 3))], 3 * math.exp(-100), rtol=1e-12)
         assert_allclose(values, ref_values, rtol=1e-12)
 
     def test_one_path_never_calls_the_reference(self, monkeypatch):
@@ -223,23 +236,37 @@ class TestCornerLhs:
     def test_overflow_gives_inf_not_nan(self):
         m = rd.InteractionModel(2, 1)
         theta = rd.ParameterVector(m, [0.0, 800.0, 0.0])
-        _, values = rd.corner_lhs(theta, m)
+        values = rd.corner_lhs(theta, m)
         assert values.tolist() == [math.inf]
         verdict = rd.is_corner_optimal_by_theorem(theta, m)
         assert not verdict.optimal and verdict.max_directional_value == math.inf
 
         m = rd.InteractionModel(4, 2)
         theta = rd.ParameterVector.from_dict(m, {"1": 800.0, "2,3": -750.0})
-        _, values = rd.corner_lhs(theta, m)
+        values = rd.corner_lhs(theta, m)
         _, ref_values = reference_lhs(theta, m)
         assert not np.isnan(values).any()
         assert np.isinf(values).any() and np.isfinite(values).any()
         assert_allclose(values, ref_values, rtol=1e-12)
 
+    def test_sums_overflowing_both_ways_name_their_set(self):
+        # finite betas whose zeta sum for C = {1,2,3} meets -inf and +inf,
+        # so that the lhs would be inf - inf; no numpy warning escapes
+        m = rd.InteractionModel(3, 2)
+        theta = rd.ParameterVector.from_dict(
+            m, {"1": -1e308, "2": -1e308, "1,3": 1e308, "2,3": 1e308}
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"overflows at C=\{1,2,3\}"):
+                rd.corner_lhs(theta, m)
+            with pytest.raises(ValueError, match=r"C=\{1,2,3\}"):
+                rd.is_corner_optimal_by_theorem(theta, m)
+
     def test_full_order_is_empty(self):
         m = rd.InteractionModel(3, 3)
-        labels, values = rd.corner_lhs(rd.ParameterVector.zeros(m), m)
-        assert labels == () and values.shape == (0,)
+        values = rd.corner_lhs(rd.ParameterVector.zeros(m), m)
+        assert tuple(corner_labels(3, 3)) == () and values.shape == (0,)
         verdict = rd.is_corner_optimal_by_theorem(rd.ParameterVector.zeros(m), m)
         assert verdict.optimal and verdict.violated_labels == ()
 
@@ -266,16 +293,59 @@ class TestTheoremVerdict:
         assert not verdict.optimal
         assert verdict.violated_labels == ((1, 2, 3, 4),)
 
-    def test_violated_labels_are_the_cached_tuples(self):
-        # no tuple is rebuilt per violated set: each label is corner_index's own
+    def test_violated_labels_follow_the_system_order(self):
         m = rd.InteractionModel(8, 2)
         theta = rd.ParameterVector.symmetric(m, 0.5, 0.9)
-        labels, values = rd.corner_lhs(theta, m)
+        values = rd.corner_lhs(theta, m)
         verdict = rd.is_corner_optimal_by_theorem(theta, m)
         over = np.flatnonzero(values > 1.0 + regions.THEOREM_TOL)
         assert len(verdict.violated_labels) == over.size > 0
-        assert all(label is labels[i]
-                   for label, i in zip(verdict.violated_labels, over.tolist()))
+        labels = tuple(corner_labels(8, 2))
+        assert verdict.violated_labels == tuple(labels[i] for i in over.tolist())
+
+
+def eager_names(values, labels, limit):
+    """The violated sets named up front, one tuple per value above ``limit``."""
+    return tuple(label for label, v in zip(labels, values.tolist()) if v > limit)
+
+
+class TestVerdictNamesOnRead:
+    # (k, d, s, t) with the corner design not optimal, and one optimal point
+    POINTS = [(4, 2, 5 / 9, 4 / 5), (8, 2, 0.5, 0.9), (6, 3, 1.0, 1.0),
+              (10, 2, 5.0, 3.0), (5, 2, 0.2, 0.5)]
+
+    @pytest.mark.parametrize("k,d,s,t", POINTS)
+    def test_equal_to_the_eager_names(self, k, d, s, t):
+        m = rd.InteractionModel(k, d)
+        theta = rd.ParameterVector.symmetric(m, s, t)
+        verdict = rd.is_corner_optimal_by_theorem(theta, m)
+        assert verdict.violated_labels == eager_names(
+            rd.corner_lhs(theta, m), corner_labels(k, d), 1.0 + regions.THEOREM_TOL)
+        assert verdict.optimal == (verdict.violated_labels == ())
+
+        kw = rd.kw_certificate(rd.corner_design(m), theta, m)
+        sens = rd.sensitivities(rd.corner_design(m), theta, m)
+        assert kw.violated_labels == eager_names(
+            sens, map(rd.mask_subset, range(1 << k)), m.p * (1.0 + regions.KW_TOL))
+        assert kw.optimal == (kw.violated_labels == ())
+
+    def test_building_a_verdict_names_nothing(self, monkeypatch):
+        calls = []
+
+        def counted(mask):
+            calls.append(mask)
+            return rd.mask_subset(mask)
+
+        monkeypatch.setattr(regions, "mask_subset", counted)
+        m = rd.InteractionModel(8, 2)
+        theta = rd.ParameterVector.symmetric(m, 5.0, 3.0)
+        by_theorem = rd.is_corner_optimal_by_theorem(theta, m)
+        by_kw = rd.kw_certificate(rd.corner_design(m), theta, m)
+        assert not by_theorem.optimal and not by_kw.optimal
+        assert calls == []
+        # reading the names is what calls it, once per violated set or setting
+        named = len(by_theorem.violated_labels) + len(by_kw.violated_labels)
+        assert named > 0 and len(calls) == named
 
 
 class TestKwCertificate:
