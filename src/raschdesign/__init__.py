@@ -14,8 +14,7 @@ _EXPORTS = {
     "model": (
         "InteractionModel", "ParameterVector", "Design",
         "regression_vector", "regression_matrix", "intensity", "intensities",
-        "fisher_information", "model_matrix", "inverse_model_matrix",
-        "transform_vector", "choose", "subset_mask", "mask_subset",
+        "fisher_information", "choose", "subset_mask", "mask_subset",
         "setting_mask", "setting_bits", "setting_string",
     ),
     "regions": (

@@ -19,6 +19,11 @@ from itertools import chain, combinations
 
 from ._numpy import np
 
+#: Entries per block of every loop that goes through the lattice, the corner
+#: system or a grid a block at a time, so that its arrays do not grow with
+#: the size of the whole.
+_BLOCK = 1 << 10
+
 
 def _passes(r: np.ndarray, add) -> np.ndarray:
     """k in-place passes of ``add`` over the last axis: pass i folds every

@@ -21,13 +21,12 @@ import json
 import math
 import os
 import sys
-from itertools import islice
 from pathlib import Path
 
 import click
 
 from . import __version__
-from ._lattice import corner_labels
+from ._lattice import _BLOCK, corner_index, corner_labels
 from ._numpy import np
 from .exceptions import InputFormatError, RaschDesignError
 from .model import InteractionModel, ParameterVector, setting_string
@@ -272,27 +271,23 @@ def main() -> None:
     """D-optimal design toolkit for the Rasch Poisson counts model."""
 
 
-#: Inequalities per write of ``inequalities``: neither its listing nor its
-#: JSON is held whole, so their memory does not grow with 2^k.
-_BLOCK = 1024
-
-# one record of json.dumps(indent=2): the sets, lhs and satisfied slots
+# one record of json.dumps(indent=2) after the separator from the previous
+# one, split around its sets, lhs and satisfied slots
 _RECORD = (
-    '    {\n      "C": [\n        %s\n      ],\n'
-    '      "lhs": %s,\n      "satisfied": %s\n    }'
+    b',\n    {\n      "C": [\n        ', b'\n      ],\n      "lhs": ',
+    b',\n      "satisfied": ', b'\n    }',
 )
 
 
 def _inequality_blocks(m, values, verdict):
-    """The system ``_BLOCK`` inequalities at a time, as lists of the sets
-    (rules joined by commas), the lhs floats and the satisfied flags.  A
-    flag is the verdict's own comparison, lhs > bound (1 + THEOREM_TOL)."""
+    """The system ``_BLOCK`` inequalities at a time: the set masks, the lhs
+    values and the satisfied flags of each block.  A flag is the verdict's
+    own comparison, lhs > bound (1 + THEOREM_TOL)."""
     limit = verdict.bound * (1.0 + THEOREM_TOL)
-    labels = corner_labels(m.k, m.d)
+    masks = corner_index(m)[0]
     for start in range(0, values.size, _BLOCK):
         block = values[start:start + _BLOCK]
-        yield ([",".join(map(str, c)) for c in islice(labels, _BLOCK)],
-               block.tolist(), (~(block > limit)).tolist())
+        yield masks[start:start + _BLOCK], block, (~(block > limit)).view(np.uint8)
 
 
 def _write_inequalities(out, m, values, verdict) -> None:
@@ -302,25 +297,30 @@ def _write_inequalities(out, m, values, verdict) -> None:
     its layout is written here.  A non-finite lhs raises json's own error
     before the file is opened.
     """
+    from . import _text
+
     bad = values[~np.isfinite(values)]
     if bad.size:
         raise ValueError("Out of range float values are not JSON compliant: "
                          + repr(float(bad[0])))
-    with open(out, "w") as fh:
-        fh.write('{\n  "k": %d,\n  "d": %d,\n  "inequalities": [' % (m.k, m.d))
-        separator = "\n"
+    flags = _text.text_rows([b"false", b"true"])
+    with open(out, "wb") as fh:
+        fh.write(b'{\n  "k": %d,\n  "d": %d,\n  "inequalities": [' % (m.k, m.d))
+        # the first record has no comma before it
+        skip = 1
         for sets, lhs, satisfied in _inequality_blocks(m, values, verdict):
-            fh.write(separator + ",\n".join(map(_RECORD.__mod__, zip(
-                (text.replace(",", ",\n        ") for text in sets),
-                map(float.__repr__, lhs),
-                map(("false", "true").__getitem__, satisfied),
-            ))))
-            separator = ",\n"
+            text = _text.join(
+                _RECORD[0], _text.set_rows(sets, m.k, b",\n        "),
+                _RECORD[1], _text.repr_rows(lhs), _RECORD[2], flags[satisfied],
+                _RECORD[3],
+            )
+            fh.write(text[skip:])
+            skip = 0
         # an empty system (d == k) has no maximum
         max_lhs = verdict.max_directional_value if values.size else None
-        fh.write('%s,\n  "optimal": %s,\n  "max_lhs": %s\n}\n' % (
-            "\n  ]" if values.size else "]", json.dumps(verdict.optimal),
-            json.dumps(max_lhs)))
+        fh.write(b'%s,\n  "optimal": %s,\n  "max_lhs": %s\n}\n' % (
+            b"\n  ]" if values.size else b"]", json.dumps(verdict.optimal).encode(),
+            json.dumps(max_lhs).encode()))
 
 
 @main.command()
@@ -332,12 +332,17 @@ def inequalities(theta, out):
     m = theta.model
     values = corner_lhs(theta, m)
     verdict = _theorem_verdict(values, m)
-    # "%.12g" prints the same digits as _fmt
-    line = "C={%s}  lhs=%.12g  %s"
+    # imported after corner_lhs, whose peak is the command's: imported before
+    # it, the module raised the peak RSS at (20,2) by 0.6 MB
+    from . import _text
+
+    marks = _text.text_rows([b"VIOLATED", b"ok "])
     for sets, lhs, satisfied in _inequality_blocks(m, values, verdict):
-        click.echo("\n".join(map(line.__mod__, zip(
-            sets, lhs, map(("VIOLATED", "ok ").__getitem__, satisfied),
-        ))))
+        # text, not bytes: stdout may be a text stream with no binary buffer
+        click.echo(_text.join(
+            b"C={", _text.set_rows(sets, m.k, b","), b"}  lhs=", _text.g12(lhs),
+            b"  ", marks[satisfied], b"\n",
+        ).decode("ascii"), nl=False)
     state = "optimal" if verdict.optimal else "not-optimal"
     if verdict.boundary:
         state += " (boundary)"
@@ -452,21 +457,32 @@ def cmd_region_slice(k, d, s_grid, t_grid, out):
     m = _slice_model(k, d)
     s_list, t_list = _parse_grid(s_grid), _parse_grid(t_grid)
     blocks = _slice_grid(m, s_list, t_list)
-    # each grid value is formatted once, not once per row it appears in
-    s_text = {v: _fmt(v) for v in s_list}
-    t_text = {v: _fmt(v) for v in t_list}
+    from . import _text
+
+    # each grid value is formatted once, not once per row it appears in;
+    # every field but the verdict ends in its comma
+    s_text, t_text = (_text.text_rows([_fmt(v).encode() + b"," for v in grid])
+                      for grid in (s_list, t_list))
+    binding_text = _text.text_rows([b"%d," % c for c in range(k + 1)])
+    verdict_text = _text.text_rows([v.encode() + b"\n" for v in _VERDICTS])
     header = ["s", "t", *(f"lhs_{c}" for c in range(3, k + 1)), "binding_c", "verdict"]
-    # lhs_3..lhs_k; "%.12g" prints the same digits as _fmt
-    line = ",".join(["%s", "%s"] + ["%.12g"] * (k - 2) + ["%d", "%s"]) + "\n"
-    with open(out, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for ss, tt, values, binding, verdict in blocks:
-            fh.writelines(map(line.__mod__, zip(
-                map(s_text.__getitem__, ss.tolist()),
-                map(t_text.__getitem__, tt.tolist()),
-                *values.tolist(), binding.tolist(),
-                map(_VERDICTS.__getitem__, verdict.tolist()),
-            )))
+    # a block's rows are written a pass of g12 at a time, so that no
+    # temporary reaches malloc's mmap threshold and each is reused
+    step = max(1, _text.PASS // (k - 2))
+    start = 0
+    with open(out, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for ss, _, values, binding, verdict in blocks:
+            index = np.arange(start, start + ss.size)
+            start += ss.size
+            s_rows, t_rows = s_text[index // len(t_list)], t_text[index % len(t_list)]
+            for part in range(0, ss.size, step):
+                rows = slice(part, part + step)
+                lhs = _text.g12(values.T[rows], end=b",")
+                fh.write(_text.join(
+                    s_rows[rows], t_rows[rows], lhs.reshape(-1, (k - 2) * _text.G12_WIDTH),
+                    binding_text[binding[rows]], verdict_text[verdict[rows]],
+                ))
 
 
 @main.command()

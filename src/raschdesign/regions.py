@@ -67,7 +67,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from ._lattice import corner_index, corner_labels, log_zeta, zeta
+from ._lattice import _BLOCK, corner_index, corner_labels, log_zeta, zeta
 from ._numpy import np
 from .exceptions import NotSaturated, SingularInformation, SingularSupport
 from .model import (
@@ -364,14 +364,13 @@ def symmetric_slice(
     return out
 
 
-#: Points per block of the slice kernel.  ``region_slice``, the CLI's
-#: region-slice writer and ``redundancy_probe`` evaluate their points this
-#: many at a time, so no temporary grows with the grid or the sample count.
-#: The kernel's scratch is allocated once per run and reused by every
-#: block.  When each block allocated its own ten 80 KB temporaries (k = 12),
-#: a fresh 10^6-sample probe sometimes took 16 times the page faults and
-#: a third more time, which fits glibc trimming and regrowing the heap.
-_BLOCK = 1 << 10
+# The slice kernel runs ``_BLOCK`` points at a time: ``region_slice``, the
+# CLI's region-slice writer and ``redundancy_probe`` evaluate their points
+# this many at a time, so no temporary grows with the grid or the sample
+# count.  The kernel's scratch is allocated once per run and reused by every
+# block.  When each block allocated its own ten 80 KB temporaries (k = 12),
+# a fresh 10^6-sample probe sometimes took 16 times the page faults and
+# a third more time, which fits glibc trimming and regrowing the heap.
 
 #: Verdict names of the slice, indexed by the codes of ``_slice_verdicts``.
 _VERDICTS = ("optimal", "boundary", "not-optimal")

@@ -17,10 +17,12 @@ Weight keys are bit strings of length k, first character = rule 1.
 from __future__ import annotations
 
 import json
+from itertools import islice
 from pathlib import Path
 
+from ._lattice import _BLOCK
 from .exceptions import InputFormatError
-from .model import Design, InteractionModel, ParameterVector
+from .model import Design, InteractionModel, ParameterVector, setting_string
 
 
 def write_json(path, payload) -> None:
@@ -76,4 +78,20 @@ def load_design(path, k: int | None = None) -> Design:
 
 
 def save_design(design: Design, path) -> None:
-    write_json(path, {"k": design.k, "weights": design.as_dict()})
+    """Write the design file, in the bytes of ``write_json`` on
+    ``{"k": k, "weights": design.as_dict()}``, ``_BLOCK`` weights at a time.
+
+    ``json.dumps`` with an indent has no C encoder and holds every chunk, so
+    its layout is written here: for the 2^18 settings of a uniform design
+    it spent most of the time.
+    """
+    entries = iter(design.weights.items())
+    with open(path, "w") as fh:
+        fh.write('{\n  "k": %d,\n  "weights": {' % design.k)
+        separator = "\n"
+        while block := list(islice(entries, _BLOCK)):
+            fh.write(separator + ",\n".join([
+                f'    "{setting_string(x, design.k)}": {w!r}' for x, w in block
+            ]))
+            separator = ",\n"
+        fh.write("\n  }\n}\n")

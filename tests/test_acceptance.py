@@ -28,6 +28,8 @@ from numpy.testing import assert_allclose
 import raschdesign as rd
 from raschdesign import CenterStatus, DesignStructure
 
+from conftest import inverse_model_matrix, model_matrix, transform_vector
+
 
 @contextmanager
 def criterion(number, label):
@@ -45,12 +47,12 @@ def test_criterion_01_exact_combinatorics():
         for k in range(1, 7):
             for d in range(1, min(k, 3) + 1):
                 m = rd.InteractionModel(k, d)
-                product = rd.model_matrix(m) @ rd.inverse_model_matrix(m)
+                product = model_matrix(m) @ inverse_model_matrix(m)
                 assert np.array_equal(product, np.eye(m.p, dtype=np.int64))
-                f_inv_t = rd.inverse_model_matrix(m).T
+                f_inv_t = inverse_model_matrix(m).T
                 for x in m.settings():
                     oracle = f_inv_t @ rd.regression_vector(x, m)
-                    assert np.array_equal(rd.transform_vector(x, m), oracle)
+                    assert np.array_equal(transform_vector(x, m), oracle)
         assert time.monotonic() - start < 5.0
 
 

@@ -11,6 +11,8 @@ from numpy.testing import assert_allclose
 
 import raschdesign as rd
 
+from conftest import inverse_model_matrix, model_matrix, transform_vector
+
 
 def exact_inverse(mat):
     """Independent oracle: Gaussian elimination over rationals."""
@@ -220,11 +222,11 @@ class TestModelMatrix:
             [1, 1, 0, 1, 0, 1, 0],
             [1, 0, 1, 1, 0, 0, 1],
         ])
-        assert np.array_equal(rd.model_matrix(m), expected)
+        assert np.array_equal(model_matrix(m), expected)
 
     def test_full_order_gives_subset_zeta_matrix(self):
         m = rd.InteractionModel(3, 3)
-        f = rd.model_matrix(m)
+        f = model_matrix(m)
         for i, a in enumerate(m.subsets):
             for j, b in enumerate(m.subsets):
                 assert f[i, j] == (1 if set(b) <= set(a) else 0)
@@ -232,7 +234,7 @@ class TestModelMatrix:
     @pytest.mark.parametrize("k,d", SMALL_MODELS)
     def test_unit_determinant(self, k, d):
         m = rd.InteractionModel(k, d)
-        f = rd.model_matrix(m)
+        f = model_matrix(m)
         assert np.array_equal(np.tril(f), f)
         assert np.array_equal(np.diag(f), np.ones(m.p, dtype=np.int64))
 
@@ -241,46 +243,46 @@ class TestInverseModelMatrix:
     @pytest.mark.parametrize("k,d", SMALL_MODELS)
     def test_exact_inverse_identity(self, k, d):
         m = rd.InteractionModel(k, d)
-        product = rd.model_matrix(m) @ rd.inverse_model_matrix(m)
+        product = model_matrix(m) @ inverse_model_matrix(m)
         assert np.array_equal(product, np.eye(m.p, dtype=np.int64))
 
     @pytest.mark.parametrize("k,d", [(2, 1), (3, 2), (4, 2), (5, 3)])
     def test_matches_rational_elimination_oracle(self, k, d):
         m = rd.InteractionModel(k, d)
         assert np.array_equal(
-            rd.inverse_model_matrix(m), exact_inverse(rd.model_matrix(m))
+            inverse_model_matrix(m), exact_inverse(model_matrix(m))
         )
 
     def test_signed_entry(self):
         m = rd.InteractionModel(3, 2)
         i = m.position((1, 2))
         j = m.position((1,))
-        assert rd.inverse_model_matrix(m)[i, j] == -1
+        assert inverse_model_matrix(m)[i, j] == -1
 
     def test_unit_diagonal(self):
         m = rd.InteractionModel(4, 3)
         assert np.array_equal(
-            np.diag(rd.inverse_model_matrix(m)), np.ones(m.p, dtype=np.int64)
+            np.diag(inverse_model_matrix(m)), np.ones(m.p, dtype=np.int64)
         )
 
 
 class TestTransformVector:
     def test_signs_at_one_past_order(self):
         m = rd.InteractionModel(3, 2)
-        assert rd.transform_vector((1, 1, 1), m).tolist() == [1, -1, -1, -1, 1, 1, 1]
+        assert transform_vector((1, 1, 1), m).tolist() == [1, -1, -1, -1, 1, 1, 1]
 
     def test_basis_vector_for_small_settings(self):
         m = rd.InteractionModel(4, 2)
         for x in m.settings():
             if x.bit_count() <= m.d:
-                vec = rd.transform_vector(x, m)
+                vec = transform_vector(x, m)
                 expected = np.zeros(m.p, dtype=np.int64)
                 expected[m.position(x)] = 1
                 assert np.array_equal(vec, expected)
 
     def test_binomial_pattern_full_setting(self):
         m = rd.InteractionModel(4, 2)
-        vec = rd.transform_vector((1, 1, 1, 1), m)
+        vec = transform_vector((1, 1, 1, 1), m)
         by_card = {0: 3, 1: -2, 2: 1}
         expected = np.array([by_card[len(s)] for s in m.subsets])
         assert np.array_equal(vec, expected)
@@ -288,10 +290,10 @@ class TestTransformVector:
     @pytest.mark.parametrize("k,d", SMALL_MODELS)
     def test_matches_exact_matrix_product(self, k, d):
         m = rd.InteractionModel(k, d)
-        f_inv_t = exact_inverse(rd.model_matrix(m)).T
+        f_inv_t = exact_inverse(model_matrix(m)).T
         for x in m.settings():
             oracle = f_inv_t @ rd.regression_vector(x, m)
-            assert np.array_equal(rd.transform_vector(x, m), oracle)
+            assert np.array_equal(transform_vector(x, m), oracle)
 
 
 class TestCombinatorialIdentities:

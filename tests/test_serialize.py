@@ -2,10 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import raschdesign as rd
+from raschdesign._lattice import _BLOCK
+from raschdesign.serialize import save_design, write_json
 
 
 def test_parameter_round_trip(tmp_path):
@@ -61,3 +64,24 @@ def test_design_weight_validation(tmp_path):
     path.write_text(json.dumps({"k": 2, "weights": {"00": 0.4, "11": 0.4}}))
     with pytest.raises(rd.InputFormatError):
         rd.load_design(path)
+
+
+@pytest.mark.parametrize("design", [
+    rd.Design.uniform(1), rd.Design.uniform(11), rd.Design(3, {5: 1.0}),
+    rd.Design(4, {0: 0.25, 3: 0.5, 15: 0.25}), rd.Design(6, {1: 0.1, 2: 0.2, 63: 0.7}),
+], ids=["uniform-1", "uniform-11", "point", "three-points", "uneven"])
+def test_save_design_writes_the_bytes_of_write_json(design, tmp_path):
+    save_design(design, tmp_path / "streamed.json")
+    write_json(tmp_path / "whole.json", {"k": design.k, "weights": design.as_dict()})
+    assert (tmp_path / "streamed.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
+    assert json.loads((tmp_path / "streamed.json").read_text())["k"] == design.k
+
+
+def test_save_design_of_many_blocks(tmp_path):
+    rng = np.random.default_rng(3)
+    support = rng.choice(1 << 14, 5 * _BLOCK + 7, replace=False)
+    weights = rng.random(support.size)
+    design = rd.Design(14, dict(zip(support.tolist(), (weights / weights.sum()).tolist())))
+    save_design(design, tmp_path / "streamed.json")
+    write_json(tmp_path / "whole.json", {"k": design.k, "weights": design.as_dict()})
+    assert (tmp_path / "streamed.json").read_bytes() == (tmp_path / "whole.json").read_bytes()

@@ -13,6 +13,8 @@ from numpy.testing import assert_allclose
 import raschdesign as rd
 import raschdesign.symmetry as symmetry
 
+from conftest import inverse_model_matrix
+
 
 def random_element(rng, k):
     perm = tuple(int(v) for v in rng.permutation(np.arange(1, k + 1)))
@@ -33,7 +35,7 @@ def solved_q(g, m):
     """Q solved exactly on the corner settings, whose model matrix has a
     known integer inverse: the reference for the closed form."""
     moved = [rd.act_on_setting(g, x, m.k) for x in m.masks]
-    return (rd.inverse_model_matrix(m) @ rd.regression_matrix(m, moved)).T
+    return (inverse_model_matrix(m) @ rd.regression_matrix(m, moved)).T
 
 
 def fraction_det(mat):
