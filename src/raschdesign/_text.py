@@ -57,8 +57,8 @@ def _columns(texts, width: int) -> tuple[np.ndarray, ...]:
 def _g12_tables():
     """The read-only tables of ``g12``.
 
-    ``digits[v]`` holds the 4 digits of v < 10^4, and ``digits[v + 10^4]``
-    the same without trailing zeros, as a little-endian uint32.  By the
+    ``digits[v]`` holds the 4 digits of v < 10^4 in its low four bytes,
+    and ``digits[v + 10^4]`` the same without trailing zeros.  By the
     exponent e, at ``e - _E_MIN``: ``scale`` is 10^(11 - e) as Python's
     correctly rounded parse gives it (0 where that overflows),
     ``exponent`` the third word of a row (%g's exponent text, or nothing
@@ -89,6 +89,8 @@ def _g12_tables():
         trimmed[(digit == 0) & (trimmed == 0)] = 1 << 8 * i
     trimmed -= 1
     trimmed &= full
+    # uint64, so that shifts past bit 31 work under numpy 1's promotion too
+    digits = digits.astype(np.uint64)
     e = np.arange(_E_MIN, _E_MAX + 1).tolist()
     scale = np.array([float(f"1e{11 - x}") if x >= _E_TINY else 0.0 for x in e])
     exponent, = _columns([b"" if -4 <= x < 12 else b"e%+03d" % x for x in e], 8)
