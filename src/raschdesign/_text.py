@@ -27,11 +27,12 @@ from ._numpy import np
 #: Values per pass of ``g12``.  Its two dozen temporaries of this length
 #: stay in malloc's free lists; at 10 240 values the heap was trimmed and
 #: grown again on every call (about 370 page faults), and a value took
-#: twice as long.  At 4096 values a pass held about 200 KB more, for 8% less
-#: time; at 1024 it took 45% more time.
-PASS = 2 * _BLOCK
+#: twice as long.  At 1024 values a pass took 45% more time, and at 2048
+#: `region-slice` at (12,2) about 10 ms more in process; at 4096 a pass
+#: held about 200 KB more.
+PASS = 5 * _BLOCK // 2
 #: Bytes of rows that ``join`` lays out and squeezes at once.
-_SQUEEZE = 1 << 16
+_SQUEEZE = 96 << 10
 
 #: A ``g12`` row is three little-endian uint64 words: the sign at byte 0,
 #: the mantissa from byte 1 and, in scientific notation, the exponent from
@@ -57,8 +58,10 @@ def _columns(texts, width: int) -> tuple[np.ndarray, ...]:
 def _g12_tables():
     """The read-only tables of ``g12``.
 
-    ``digits[v]`` holds the 4 digits of v < 10^4 in its low four bytes,
-    and ``digits[v + 10^4]`` the same without trailing zeros.  By the
+    ``digits[v]`` holds the 4 digits of v < 10^4, and ``digits[v + 10^4]``
+    the same without trailing zeros, as a little-endian uint32; the pass
+    widens them with ``dtype=np.uint64`` wherever it shifts them, which
+    numpy 1's promotion would not do.  By the
     exponent e, at ``e - _E_MIN``: ``scale`` is 10^(11 - e) as Python's
     correctly rounded parse gives it (0 where that overflows),
     ``exponent`` the third word of a row (%g's exponent text, or nothing
@@ -89,8 +92,6 @@ def _g12_tables():
         trimmed[(digit == 0) & (trimmed == 0)] = 1 << 8 * i
     trimmed -= 1
     trimmed &= full
-    # uint64, so that shifts past bit 31 work under numpy 1's promotion too
-    digits = digits.astype(np.uint64)
     e = np.arange(_E_MIN, _E_MAX + 1).tolist()
     scale = np.array([float(f"1e{11 - x}") if x >= _E_TINY else 0.0 for x in e])
     exponent, = _columns([b"" if -4 <= x < 12 else b"e%+03d" % x for x in e], 8)
@@ -170,7 +171,7 @@ def _g12_pass(x: np.ndarray, rows: np.ndarray) -> None:
     c = place[e]
     # the fraction: a group loses its trailing zeros when every later one is 0
     zero = g2 == 0
-    low = digits[g1 + 10_000 * zero] << np.uint64(32)
+    low = np.left_shift(digits[g1 + 10_000 * zero], 32, dtype=np.uint64)
     zero &= g1 == 0
     low |= digits[g0 + 10_000 * zero]
     low &= tail0[c]
@@ -183,8 +184,9 @@ def _g12_pass(x: np.ndarray, rows: np.ndarray) -> None:
     low <<= bits
     # the integer part, digit i at byte 1 + i
     group = digits[g1]
-    low |= (digits[g0] << np.uint64(8) | group << np.uint64(40)) & head0[c]
-    high |= (group >> np.uint64(24) | digits[g2] << np.uint64(8)) & head1[c]
+    low |= (np.left_shift(digits[g0], 8, dtype=np.uint64)
+            | np.left_shift(group, 40, dtype=np.uint64)) & head0[c]
+    high |= (group >> 24 | np.left_shift(digits[g2], 8, dtype=np.uint64)) & head1[c]
     low |= point0[dot]
     low |= np.signbit(x) * np.uint64(ord("-"))
     rows[:, 0] = low

@@ -466,22 +466,24 @@ def cmd_region_slice(k, d, s_grid, t_grid, out):
     binding_text = _text.text_rows([b"%d," % c for c in range(k + 1)])
     verdict_text = _text.text_rows([v.encode() + b"\n" for v in _VERDICTS])
     header = ["s", "t", *(f"lhs_{c}" for c in range(3, k + 1)), "binding_c", "verdict"]
-    # a block's rows are written a pass of g12 at a time, so that no
-    # temporary reaches malloc's mmap threshold and each is reused
-    step = max(1, _text.PASS // (k - 2))
+    # a block's rows are written in equal parts of at most a pass of g12,
+    # so that no temporary reaches malloc's mmap threshold and each is reused
+    parts = -(-_BLOCK // max(1, _text.PASS // (k - 2)))
+    step = -(-_BLOCK // parts)
     start = 0
     with open(out, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for ss, _, values, binding, verdict in blocks:
             index = np.arange(start, start + ss.size)
             start += ss.size
-            s_rows, t_rows = s_text[index // len(t_list)], t_text[index % len(t_list)]
+            fields = (s_text[index // len(t_list)], t_text[index % len(t_list)],
+                      binding_text[binding], verdict_text[verdict])
             for part in range(0, ss.size, step):
                 rows = slice(part, part + step)
+                s_rows, t_rows, b_rows, v_rows = (f[rows] for f in fields)
                 lhs = _text.g12(values.T[rows], end=b",")
                 fh.write(_text.join(
-                    s_rows[rows], t_rows[rows], lhs.reshape(-1, (k - 2) * _text.G12_WIDTH),
-                    binding_text[binding[rows]], verdict_text[verdict[rows]],
+                    s_rows, t_rows, lhs.reshape(-1, (k - 2) * _text.G12_WIDTH), b_rows, v_rows,
                 ))
 
 
