@@ -7,7 +7,8 @@ bitmask (bit ``i-1`` holds rule ``i``).  This module owns the subset-sum
 transform), the masks of the subsets of one size, and the two cached
 index tables that read the lattice in a model's subset order: the masks
 A|B of the information matrix and the sets C of the corner inequality
-system, whose rule tuples ``corner_labels`` makes on demand.
+system, whose rule tuples ``corner_labels`` makes on demand, with its
+coefficients once per size (``corner_coefficients``).
 Like every module of the package, it runs no numpy code at import.
 """
 
@@ -87,25 +88,21 @@ def corner_labels(k: int, d: int):
 
 
 @lru_cache(maxsize=8)
-def corner_index(m):
-    """Masks and coefficients of the corner system of model ``m``.
-
-    ``masks[i]`` is the i-th set C with |C| > d, in (|C|, lexicographic)
-    order; ``coeffs[j, i]`` is C(|C|-j-1, d-j)^2 for it, the coefficient
-    shared by every term whose omitted subset has size j.
-    """
-    k, d = m.k, m.d
-    sizes = range(d + 1, k + 1)
-    counts = [math.comb(k, c) for c in sizes]
-    masks = np.fromiter(chain.from_iterable(masks_of_size(k, c) for c in sizes),
-                        dtype=np.intp, count=sum(counts))
-    table = np.array(
-        [[math.comb(c - j - 1, d - j) ** 2 for c in sizes] for j in range(d + 1)],
-        dtype=float,
-    )
-    # one column per set C, taken from its size's column
-    coeffs = table[:, np.repeat(np.arange(len(sizes)), counts)]
-    # the cache hands these arrays to every caller
+def corner_index(m) -> np.ndarray:
+    """Masks of the sets C with |C| > d of model ``m``, in (|C|, lexicographic)
+    order, one run per size; cached, so read-only."""
+    sizes = range(m.d + 1, m.k + 1)
+    masks = np.fromiter(chain.from_iterable(masks_of_size(m.k, c) for c in sizes),
+                        dtype=np.intp, count=sum(math.comb(m.k, c) for c in sizes))
     masks.setflags(write=False)
-    coeffs.setflags(write=False)
-    return masks, coeffs
+    return masks
+
+
+@lru_cache(maxsize=8)
+def corner_coefficients(k: int, d: int) -> np.ndarray:
+    """``table[j, c-d-1]`` is C(c-j-1, d-j)^2, the coefficient of every term of
+    a set of size c whose omitted subset has size j; cached, so read-only."""
+    table = np.array([[math.comb(c - j - 1, d - j) ** 2 for c in range(d + 1, k + 1)]
+                      for j in range(d + 1)], dtype=float)
+    table.setflags(write=False)
+    return table

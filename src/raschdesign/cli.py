@@ -35,6 +35,7 @@ from .optimizer import MAX_ITERATIONS, optimize_design
 from .regions import (
     THEOREM_TOL,
     _VERDICTS,
+    _check_slice_model,
     _slice_grid,
     _theorem_verdict,
     corner_design,
@@ -94,24 +95,14 @@ def _finite_option(ctx, param, value) -> float:
     return _float(value, param.opts[0])
 
 
-def _model(k: int, d: int) -> InteractionModel:
-    """The model of --k/--d; a size it rejects is a usage error."""
+def _model(k: int, d: int, check=lambda m: None) -> InteractionModel:
+    """The model of --k/--d; a size it or ``check`` rejects is a usage error."""
     try:
-        return InteractionModel(k, d)
+        m = InteractionModel(k, d)
+        check(m)
     except ValueError as exc:  # ModelSizeError is a ValueError too
         raise click.UsageError(str(exc)) from exc
-
-
-def _slice_model(k: int, d: int) -> InteractionModel:
-    """The order-2 model of an exchangeable (s, t) slice, which needs k >= 3."""
-    if d != 2:
-        command = click.get_current_context().command.name
-        raise click.UsageError(f"{command} requires an order-2 model (--d 2)")
-    if k < 3:
-        raise click.UsageError(
-            f"the d = 2 slice has inequalities only for k >= 3, got --k {k}"
-        )
-    return _model(k, d)
+    return m
 
 
 def _parse_symmetric(text: str) -> dict[str, float]:
@@ -284,7 +275,7 @@ def _inequality_blocks(m, values, verdict):
     values and the satisfied flags of each block.  A flag is the verdict's
     own comparison, lhs > bound (1 + THEOREM_TOL)."""
     limit = verdict.bound * (1.0 + THEOREM_TOL)
-    masks = corner_index(m)[0]
+    masks = corner_index(m)
     for start in range(0, values.size, _BLOCK):
         block = values[start:start + _BLOCK]
         yield masks[start:start + _BLOCK], block, (~(block > limit)).view(np.uint8)
@@ -454,7 +445,7 @@ def cmd_center_path(k, d, lambdas, out, matrices_out):
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def cmd_region_slice(k, d, s_grid, t_grid, out):
     """CSV of symmetric-slice inequality values over an (s, t) grid."""
-    m = _slice_model(k, d)
+    m = _model(k, d, _check_slice_model)
     s_list, t_list = _parse_grid(s_grid), _parse_grid(t_grid)
     blocks = _slice_grid(m, s_list, t_list)
     from . import _text
@@ -465,10 +456,10 @@ def cmd_region_slice(k, d, s_grid, t_grid, out):
                       for grid in (s_list, t_list))
     binding_text = _text.text_rows([b"%d," % c for c in range(k + 1)])
     verdict_text = _text.text_rows([v.encode() + b"\n" for v in _VERDICTS])
-    header = ["s", "t", *(f"lhs_{c}" for c in range(3, k + 1)), "binding_c", "verdict"]
+    header = ["s", "t", *(f"lhs_{c}" for c in range(d + 1, k + 1)), "binding_c", "verdict"]
     # a block's rows are written in equal parts of at most a pass of g12,
     # so that no temporary reaches malloc's mmap threshold and each is reused
-    parts = -(-_BLOCK // max(1, _text.PASS // (k - 2)))
+    parts = -(-_BLOCK // max(1, _text.PASS // (k - d)))
     step = -(-_BLOCK // parts)
     start = 0
     with open(out, "wb") as fh:
@@ -483,7 +474,7 @@ def cmd_region_slice(k, d, s_grid, t_grid, out):
                 s_rows, t_rows, b_rows, v_rows = (f[rows] for f in fields)
                 lhs = _text.g12(values.T[rows], end=b",")
                 fh.write(_text.join(
-                    s_rows, t_rows, lhs.reshape(-1, (k - 2) * _text.G12_WIDTH), b_rows, v_rows,
+                    s_rows, t_rows, lhs.reshape(-1, (k - d) * _text.G12_WIDTH), b_rows, v_rows,
                 ))
 
 
@@ -508,7 +499,7 @@ def probe(k, d, s_range, t_range, samples, seed, out):
             raise click.UsageError(f"--{name} needs 0 < lo < hi")
         return lo, hi
 
-    m = _slice_model(k, d)
+    m = _model(k, d, _check_slice_model)
     report = redundancy_probe(
         m, parse_range(s_range, "s-range"), parse_range(t_range, "t-range"),
         samples, seed,

@@ -464,8 +464,3 @@ def _sensitivities(
     minv = inv.T @ inv
     g = np.bincount(union_index(m).ravel(), minv.ravel(), 1 << m.k)
     return minv, lam * zeta(g)
-    for idx, (mask, c) in enumerate(zip(m.masks, m.cards)):
-        if xm & mask == mask:
-            sign = -1 if (m.d - c) % 2 else 1
-            out[idx] = sign * choose(a - c - 1, m.d - c)
-    return out

@@ -17,10 +17,12 @@ Z_j(C) = sum of e^{-beta_B} over B in C, |B| = j, the left-hand side of C
 is sum_j C(|C|-j-1, d-j)^2 exp(S(C) + log Z_j(C)).  S is a zeta transform
 and log Z_0..log Z_d are log-space zeta transforms over the 2^k bitmasks
 (``_lattice``), so every set takes one path whatever the span of beta.
-The cost is O((d+1) k 2^k) instead of one Python loop over every term of
-every C.  Both forms read the system at base intensity mu_{} = 1.  A set
-C is held only as its bitmask; ``_lattice.corner_labels`` spells the sets
-out in the same order for the listings.
+``_lattice.corner_coefficients`` holds the coefficient once per size, and
+``corner_lhs`` applies each size's column to that size's run of sets.  The
+cost is O((d+1) k 2^k) instead of one Python loop over every term of every
+C.  Both forms read the system at base intensity mu_{} = 1.  A set C is
+held only as its bitmask; ``_lattice.corner_labels`` spells the sets out
+in the same order for the listings.
 The module also provides two deliberately independent D-optimality
 certificates for cross-checking:
 
@@ -38,12 +40,14 @@ and the verdict is on the boundary when the largest value is within
 bound * tol of the bound.  The slice and the probe use ``THEOREM_TOL`` too.
 No function takes a tolerance argument; each reads its constant when it runs.
 
-On the exchangeable d = 2 slice (mu_i = s, mu_ij = t) every C with
-|C| = c has the same left-hand side,
-LHS_c = s^(c-1) t^(P-1) (C(c-1,2)^2 s t + c (c-2)^2 t + P s), P = C(c,2).
-``symmetric_slice`` sums its three terms with ``fsum`` at one point and is
-the reference.  ``_slice_values`` is the one array kernel, with a single
-exp per entry; ``region_slice``, the CLI's region-slice writer and
+On the exchangeable slice of order d >= 2 (mu_i = s, mu_ij = t, mu_A = 1
+above), read on the S_k orbits (Gatermann and Parrilo, JPAA 2004), every C
+with |C| = c has one left-hand side: Z_j(C) = C(c, j) e^(-b_j), so with
+a_j = C(c-j-1, d-j)^2 C(c, j), P = C(c, 2) and lead the sum of a_j, j != 1, 2,
+LHS_c = s^(c-1) t^(P-1) (lead s t + a_1 t + a_2 s); at d = 2 the bracket is
+C(c-1,2)^2 s t + c (c-2)^2 t + P s, which ``symmetric_slice`` sums with
+``fsum`` as the reference.  ``_slice_values`` is the one array kernel, with
+a single exp per entry; ``region_slice``, the CLI's region-slice writer and
 ``redundancy_probe`` run it over blocks of ``_BLOCK`` points, writing into
 scratch they allocate once, so their arrays stay at a few hundred KB
 whatever the grid or sample count; the probe draws its samples block by
@@ -67,7 +71,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from ._lattice import _BLOCK, corner_index, corner_labels, log_zeta, zeta
+from ._lattice import (_BLOCK, corner_coefficients, corner_index, corner_labels,
+                       log_zeta, zeta)
 from ._numpy import np
 from .exceptions import NotSaturated, SingularInformation, SingularSupport
 from .model import (
@@ -210,26 +215,51 @@ def corner_lhs(theta: ParameterVector, m: InteractionModel) -> np.ndarray:
 
     S is a zeta transform and log Z_0..log Z_d are ``log_zeta`` transforms
     of -beta placed level by level on the 2^k lattice, so no sum under- or
-    overflows before the one exp per term.  Overflow gives inf, never NaN:
-    where the partial sums of S(C) overflow to both +inf and -inf, a
-    ``ValueError`` names the first such set C.
+    overflows before the one exp per term, made a block of whole sizes at
+    a time (``_size_blocks``).  Overflow gives inf, never NaN: where the
+    partial sums of S(C) overflow to both +inf and -inf, a ``ValueError``
+    names the first such set C.
     """
     _check_model(theta, m)
-    masks, coeffs = corner_index(m)
+    masks = corner_index(m)
     beta = theta.with_base_zero().values
     where = np.asarray(m.masks, dtype=np.intp)
     sums = np.zeros(1 << m.k)
     sums[where] = beta
     log_z = np.full((m.d + 1, 1 << m.k), -np.inf)
     log_z[np.asarray(m.cards), where] = -beta
+    values = np.empty(masks.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        exponents = zeta(sums)[masks] + log_zeta(log_z)[:, masks]
-        values = (coeffs * np.exp(exponents)).sum(axis=0)
+        zeta(sums)
+        log_zeta(log_z)
+        for start, stop, runs in _size_blocks(m.k, m.d):
+            terms = log_z[:, masks[start:stop]]
+            terms += sums[masks[start:stop]]
+            np.exp(terms, out=terms)
+            for first, last, coefficients in runs:
+                terms[:, first:last] *= coefficients
+            terms.sum(axis=0, out=values[start:stop])
     if np.isnan(values).any():
         rules = ",".join(map(str, mask_subset(int(masks[np.isnan(values).argmax()]))))
         raise ValueError(f"the beta sum overflows at C={{{rules}}}: its partial sums "
                          "reach both +inf and -inf, so its lhs would be NaN")
     return values
+
+
+@lru_cache(maxsize=8)
+def _size_blocks(k: int, d: int) -> tuple:
+    """The corner system in blocks of whole sizes, each closed once it holds
+    ``_BLOCK`` sets: a block's span and, per size in it, its run in the block
+    and its column of ``corner_coefficients``.  A small system is one block;
+    a large one holds about one size's terms at a time."""
+    table, blocks, runs, start, stop = corner_coefficients(k, d), [], [], 0, 0
+    for column, c in enumerate(range(d + 1, k + 1)):
+        runs.append((stop - start, stop - start + math.comb(k, c), table[:, column, None]))
+        stop += math.comb(k, c)
+        if c == k or stop - start >= _BLOCK:
+            blocks.append((start, stop, tuple(runs)))
+            runs, start = [], stop
+    return tuple(blocks)
 
 
 def is_corner_optimal_by_theorem(
@@ -241,7 +271,7 @@ def is_corner_optimal_by_theorem(
 
 def _theorem_verdict(values: np.ndarray, m: InteractionModel) -> OptimalityVerdict:
     """Verdict of the system from its ``corner_lhs`` values."""
-    return _verdict(values, corner_index(m)[0], 1.0, THEOREM_TOL, m.k)
+    return _verdict(values, corner_index(m), 1.0, THEOREM_TOL, m.k)
 
 
 def _verdict(
@@ -377,65 +407,52 @@ _VERDICTS = ("optimal", "boundary", "not-optimal")
 
 
 @lru_cache(maxsize=8)
-def _slice_coefficients(k: int):
-    """Per-c constants of the exchangeable slice, c = 3..k.
-
-    ``LHS_c = s^(c-1) t^(P-1) (lead s t + single t + pair s)`` with
-    P = C(c, 2), lead = C(c-1, 2)^2, single = c (c-2)^2 and pair = P.
-    ``cs`` is a vector; the float constants are (k - 2, 1) columns, so
-    they broadcast against a block of points along the second axis.
-    """
-    cs = np.arange(3, k + 1)
-    pairs = cs * (cs - 1) // 2
-    table = (
-        cs,
-        *(np.asarray(a, dtype=float)[:, None] for a in (
-            cs - 1,
-            pairs - 1,
-            [choose(c - 1, 2) ** 2 for c in cs],
-            [c * choose(c - 2, 1) ** 2 for c in cs],
-            pairs,
-        )),
-    )
+def _slice_coefficients(k: int, d: int):
+    """Per-c constants of the exchangeable slice, c = d+1..k: ``cs``, then
+    as (k - d, 1) columns, which broadcast against a block of points, the
+    powers c - 1 and P - 1 and the module's lead (the sum of a_j over
+    j != 1, 2), single (a_1) and pair (a_2), from ``corner_coefficients``."""
+    cs = np.arange(d + 1, k + 1)
+    a = corner_coefficients(k, d) * [[math.comb(c, j) for c in cs.tolist()]
+                                     for j in range(d + 1)]
+    table = (cs, *(np.asarray(x, dtype=float)[:, None] for x in (
+        cs - 1, cs * (cs - 1) // 2 - 1, np.delete(a, [1, 2], axis=0).sum(axis=0), a[1], a[2],
+    )))
     # the cache hands these arrays to every caller
-    for a in table:
-        a.setflags(write=False)
+    for x in table:
+        x.setflags(write=False)
     return table
 
 
-def _check_slice_model(m: InteractionModel, what: str) -> None:
-    """The exchangeable slice needs d = 2, and has inequalities only for k >= 3."""
-    if m.d != 2:
-        raise ValueError(f"{what} is defined for d=2 models, got d={m.d}")
-    if m.k < 3:
-        raise ValueError(
-            f"the d = 2 slice has inequalities only for k >= 3, got k={m.k}"
-        )
+def _check_slice_model(m: InteractionModel) -> None:
+    """The (s, t) slice needs d >= 2, and has inequalities only for k >= d + 1."""
+    if m.d < 2 or m.k <= m.d:
+        raise ValueError(f"the (s, t) slice needs d >= 2 and has inequalities only for "
+                         f"k >= {max(m.d, 2) + 1}, got k={m.k}, d={m.d}")
 
 
 def _slice_values(
     m: InteractionModel, s: np.ndarray, t: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Vectorized symmetric slice: rows = points, columns = c = 3..k.
+    """Vectorized symmetric slice: rows = points, columns = c = d+1..k.
 
-    The values are computed c-major, as a (k - 2, n) array, so numpy's
+    The values are computed c-major, as a (k - d, n) array, so numpy's
     inner loops run over the n points; the result is its transpose, a
     view, and ``.T`` gives the c-major array back.  One exp per entry:
     ``s^(c-1) t^(P-1)`` times the bracket of ``_slice_coefficients``.
     Each term is a product of finite factors, so an entry is 0 or inf
     where the exponent under- or overflows, never NaN.
 
-    ``out`` is scratch of shape (3, k - 2, n') with n' >= n, which a
+    ``out`` is scratch of shape (3, k - d, n') with n' >= n, which a
     caller that runs block after block allocates once; the result is a
     view of it, valid until the next call.  Without it the kernel
     allocates its own, and the c-major array is C-contiguous.
     """
-    _check_slice_model(m, "symmetric slice")
-    _, s_pow, t_pow, lead, single, pair = _slice_coefficients(m.k)
+    _, s_pow, t_pow, lead, single, pair = _slice_coefficients(m.k, m.d)
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     if out is None:
-        out = np.empty((3, m.k - 2, s.size))
+        out = np.empty((3, m.k - m.d, s.size))
     base, st, values = out[:, :, :s.size]
     with np.errstate(over="ignore", under="ignore"):
         np.multiply(np.log(s), s_pow, out=base)
@@ -453,7 +470,7 @@ def _slice_values(
     return values.T
 
 
-def _slice_verdicts(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _slice_verdicts(values: np.ndarray, m: InteractionModel) -> tuple[np.ndarray, np.ndarray]:
     """``binding_c`` and verdict code of every column of c-major slice values.
 
     ``values`` is ``_slice_values(...).T``, one column per point.  The rule
@@ -465,7 +482,7 @@ def _slice_verdicts(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
     outside = violated.any(axis=0)
     column = np.where(outside, violated.argmax(axis=0), values.argmax(axis=0))
     near = values.max(axis=0) >= 1.0 - THEOREM_TOL
-    return _slice_coefficients(k)[0][column], np.where(outside, 2, near)
+    return _slice_coefficients(m.k, m.d)[0][column], np.where(outside, 2, near)
 
 
 def _slice_grid(
@@ -478,7 +495,7 @@ def _slice_grid(
     The checks run at once; the returned iterator yields, for ``_BLOCK``
     consecutive points in s-major order, the arrays
     ``(s, t, values, binding_c, verdict code)``, with ``values`` c-major:
-    row j holds LHS_{j+3} of every point in the block.  ``values`` lives
+    row j holds LHS_{j+d+1} of every point in the block.  ``values`` lives
     in scratch that every block reuses, so it is valid until the next one.
     """
     s_values = np.asarray(list(s_values), dtype=float)
@@ -487,16 +504,16 @@ def _slice_grid(
         raise ValueError("empty grid")
     if np.any(s_values <= 0) or np.any(t_values <= 0):
         raise ValueError("grid values must be positive")
-    _check_slice_model(m, "symmetric slice")
+    _check_slice_model(m)
     n_points = s_values.size * t_values.size
 
     def blocks():
-        scratch = np.empty((3, m.k - 2, min(_BLOCK, n_points)))
+        scratch = np.empty((3, m.k - m.d, min(_BLOCK, n_points)))
         for start in range(0, n_points, _BLOCK):
             index = np.arange(start, min(start + _BLOCK, n_points))
             ss, tt = s_values[index // t_values.size], t_values[index % t_values.size]
             values = _slice_values(m, ss, tt, scratch).T
-            yield (ss, tt, values, *_slice_verdicts(values, m.k))
+            yield (ss, tt, values, *_slice_verdicts(values, m))
 
     return blocks()
 
@@ -595,7 +612,7 @@ def redundancy_probe(
     with the sample count; a witness is the first sample, in that order,
     that violates c alone.
     """
-    _check_slice_model(m, "redundancy probe")
+    _check_slice_model(m)
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if not (0 < s_range[0] < s_range[1]) or not (0 < t_range[0] < t_range[1]):
@@ -603,7 +620,7 @@ def redundancy_probe(
     s_rng = np.random.default_rng(seed)
     t_rng = np.random.default_rng(seed)
     t_rng.bit_generator.advance(n_samples)
-    cs = _slice_coefficients(m.k)[0]
+    cs = _slice_coefficients(m.k, m.d)[0]
     n_violated = np.zeros(cs.size, dtype=np.intp)
     n_witness = np.zeros(cs.size, dtype=np.intp)
     witnesses: list[tuple[float, float] | None] = [None] * cs.size

@@ -344,8 +344,9 @@ MANIFEST_CASES = {
             "k": ["--k", "4", "--d", "2", "--s-grid", "0.5", "--t-grid", "0.5"],
             "s_grid": ["--k", "3", "--d", "2", "--s-grid", "0.4", "--t-grid", "0.5"],
             "t_grid": ["--k", "3", "--d", "2", "--s-grid", "0.5", "--t-grid", "0.4"],
+            "d": ["--k", "4", "--d", "3", "--s-grid", "0.5", "--t-grid", "0.5"],
         },
-        fixed={"d"},  # the slice exists only at d = 2
+        fixed=set(),
     ),
     "probe": dict(
         base=["--k", "3", "--d", "2", "--s-range", "0.1:1", "--t-range", "0.1:1",
@@ -361,8 +362,10 @@ MANIFEST_CASES = {
                         "--t-range", "0.1:1", "--samples", "11", "--seed", "0"],
             "seed": ["--k", "3", "--d", "2", "--s-range", "0.1:1", "--t-range", "0.1:1",
                      "--samples", "10", "--seed", "1"],
+            "d": ["--k", "4", "--d", "3", "--s-range", "0.1:1", "--t-range", "0.1:1",
+                  "--samples", "10", "--seed", "0"],
         },
-        fixed={"d"},  # the slice exists only at d = 2
+        fixed=set(),
     ),
     "compare": dict(
         base=["--k", "2", "--d", "1", "--samples", "3", "--seed", "0"],
@@ -858,6 +861,39 @@ class TestCenterPath:
         assert result.exit_code == 2
         assert "finite" in result.output
         assert not out.exists()
+
+
+#: The grid or sampling options of the two slice commands.
+SLICE_ARGV = {
+    "region-slice": ["--s-grid", "0.1,0.5", "--t-grid", "0.5,1.2"],
+    "probe": ["--s-range", "0.01:1", "--t-range", "1:1.3", "--samples", "2000",
+              "--seed", "0"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SLICE_ARGV))
+def test_slice_at_order_three(runner, tmp_path, command):
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, "--k", "10", "--d", "3", *SLICE_ARGV[command],
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    if command == "region-slice":
+        header = out.read_text().splitlines()[0].split(",")
+        assert header == ["s", "t", *(f"lhs_{c}" for c in range(4, 11)),
+                          "binding_c", "verdict"]
+    else:
+        assert list(strict_json(out.read_text())) == [str(c) for c in range(4, 11)]
+
+
+@pytest.mark.parametrize("command", sorted(SLICE_ARGV))
+@pytest.mark.parametrize("k,d", [(10, 1), (3, 3)], ids=["d-1", "k-equals-d"])
+def test_slice_without_a_pair_or_an_inequality_exit_2(runner, tmp_path, command, k, d):
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, "--k", str(k), "--d", str(d),
+                                  *SLICE_ARGV[command], "--out", str(out)])
+    assert result.exit_code == 2
+    assert ("d >= 2" if d == 1 else "k >= 4") in result.output
+    assert not list(tmp_path.iterdir())
 
 
 class TestRegionSlice:

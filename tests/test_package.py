@@ -1,5 +1,6 @@
 """The package namespace: its exports, resolved on first access."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -120,3 +121,25 @@ def test_readme_library_example_runs(fresh_python):
     proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "False ((1, 2, 3, 4),)"
+
+
+def unreachable_statements(tree):
+    """(line, statement) of every statement that follows a return, raise,
+    break or continue in the same block."""
+    ends = (ast.Return, ast.Raise, ast.Break, ast.Continue)
+    for node in ast.walk(tree):
+        for field in ("body", "orelse", "finalbody"):
+            block = getattr(node, field, None)
+            if not isinstance(block, list):
+                continue
+            for before, after in zip(block, block[1:]):
+                if isinstance(before, ends):
+                    yield after.lineno, type(after).__name__
+
+
+@pytest.mark.parametrize("path", sorted(
+    (Path(__file__).resolve().parents[1] / "src" / "raschdesign").glob("*.py")
+), ids=lambda path: path.name)
+def test_no_statement_follows_a_jump(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert list(unreachable_statements(tree)) == []

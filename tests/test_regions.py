@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 
 import raschdesign as rd
 from raschdesign import optimizer, regions
-from raschdesign._lattice import corner_index, corner_labels
+from raschdesign._lattice import corner_coefficients, corner_index, corner_labels
 
 
 def symmetric_monomial_counts(q):
@@ -161,12 +161,36 @@ class TestCornerLhs:
     def test_index_holds_masks_and_coefficients_only(self, k, d):
         # the sets are their masks; corner_labels spells them out in mask order
         m = rd.InteractionModel(k, d)
-        index = corner_index(m)
-        assert len(index) == 2
-        masks, coeffs = index
-        assert masks.dtype == np.intp and coeffs.dtype == float
-        assert coeffs.shape == (d + 1, masks.size)
+        masks = corner_index(m)
+        assert isinstance(masks, np.ndarray) and masks.dtype == np.intp
         assert [rd.mask_subset(x) for x in masks.tolist()] == list(corner_labels(k, d))
+        # the coefficients are kept once per size, not once per set
+        table = corner_coefficients(k, d)
+        assert table.dtype == float and table.shape == (d + 1, k - d)
+        assert not (masks.flags.writeable or table.flags.writeable)
+        for c in range(d + 1, k + 1):
+            q = regions._inequality(tuple(range(1, c + 1)), d)
+            assert [table[len(b), c - d - 1] for b in q.support_all] == list(q.coefficients)
+
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_size_blocks_tile_the_system(self, k):
+        # whole size runs in order, each with its column of coefficients
+        for d in range(1, k + 1):
+            sizes, stop = [], 0
+            table = corner_coefficients(k, d)
+            blocks = regions._size_blocks(k, d)
+            assert all(end - start >= regions._BLOCK for start, end, _ in blocks[:-1])
+            for start, end, runs in blocks:
+                assert start == stop
+                offset = 0
+                for first, last, coefficients in runs:
+                    assert first == offset
+                    assert (coefficients == table[:, len(sizes), None]).all()
+                    sizes.append(last - first)
+                    offset = last
+                assert offset == end - start
+                stop = end
+            assert sizes == [math.comb(k, c) for c in range(d + 1, k + 1)]
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -866,3 +890,38 @@ class TestCMajorSliceKernel:
         # points x c is a view of the c-major array the kernel computed
         assert values.T.flags.c_contiguous
         assert np.array_equal(values, row_major_slice(m.k, ss, tt))
+
+
+class TestSliceAtEveryOrder:
+    """The slice kernel at d >= 3, against ``corner_lhs`` at the exchangeable
+    point mu_i = s, mu_ij = t and mu_A = 1 above, expanded per |C|."""
+
+    S_AXIS = [1e-3, 0.05, 0.3, 0.8, 1.0, 1.7]
+    T_AXIS = [1e-3, 0.2, 0.9, 1.0, 1.3, 2.5]
+
+    @pytest.mark.parametrize("k,d", [(5, 3), (8, 3), (10, 3), (9, 4), (12, 5), (7, 6)])
+    def test_kernel_matches_corner_lhs(self, k, d):
+        m = rd.InteractionModel(k, d)
+        ss, tt = (a.ravel() for a in np.meshgrid(self.S_AXIS, self.T_AXIS))
+        values = regions._slice_values(m, ss, tt)
+        assert values.shape == (ss.size, k - d)
+        sizes = np.array([len(c) for c in corner_labels(k, d)])
+        for s, t, row in zip(ss, tt, values):
+            lhs = rd.corner_lhs(rd.ParameterVector.symmetric(m, s, t), m)
+            assert_allclose(row[sizes - d - 1], lhs, rtol=1e-12)
+
+    def test_region_slice_and_probe_at_order_three(self):
+        m = rd.InteractionModel(10, 3)
+        rows = rd.region_slice(m, [0.1, 0.5], [0.5, 1.2])
+        assert all(len(r.lhs) == 7 and 4 <= r.binding_c <= 10 for r in rows)
+        report = rd.redundancy_probe(m, (0.01, 1.0), (1.0, 1.3), 2000, seed=1)
+        assert list(report.entries) == list(range(4, 11))
+
+    @pytest.mark.parametrize("k,d", [(4, 1), (3, 3), (5, 5)])
+    def test_needs_a_pair_intensity_and_an_inequality(self, k, d):
+        m = rd.InteractionModel(k, d)
+        match = "d >= 2" if d < 2 else f"k >= {d + 1}"
+        with pytest.raises(ValueError, match=match):
+            rd.region_slice(m, [0.5], [0.5])
+        with pytest.raises(ValueError, match=match):
+            rd.redundancy_probe(m, (0.1, 1.0), (0.1, 1.0), 10, 0)

@@ -76,7 +76,7 @@ class TestG12:
 class TestSetRows:
     @pytest.mark.parametrize("sep", [b",", b",\n        "])
     def test_matches_joined_labels(self, sep):
-        masks = corner_index(rd.InteractionModel(8, 3))[0]
+        masks = corner_index(rd.InteractionModel(8, 3))
         expected = [sep.decode().join(map(str, c)) for c in corner_labels(8, 3)]
         assert lines(_text.set_rows(masks, 8, sep)) == expected
 
