@@ -30,7 +30,10 @@ above).  With h_rc = g / sqrt(C(k,c)) and
 B_r = sum_c omega_c lambda_c h_rc h_rc^T, log det M = sum_r mu_r log det B_r
 and the sensitivity, constant on an orbit, is
 d_c = lambda_c sum_r mu_r |L_r^-1 h_rc|^2 for B_r = L_r L_r^T.  A step of the
-ascent on the orbit weights costs O(k d^3), and no p x p array exists.
+ascent on the orbit weights costs O(k d^3), and no p x p array exists.  The
+vertex exchange of ``optimizer`` moves weight between whole orbits; block r
+holds lambda_c |L_r^-1 h_rc|^2 of d_c, which gives its P_r and N_r
+(``Orbits.pair``).
 ``optimizer`` imports this module only for an exchangeable parameter.
 """
 
@@ -102,73 +105,19 @@ class Orbits:
         logs = np.log(np.diagonal(low, axis1=1, axis2=2)).sum(axis=1)
         return 2.0 * float(self.mu @ logs), d, z
 
-    def exchange(self, w, d, j, z, gain):
-        """Move weight alpha from the argmin-d orbit a of the support to j.
-
-        As for one pair of settings on the lattice, block r's determinant
-        grows by phi_r = (1 + alpha P_r)(1 - alpha N_r) + alpha^2 X_r^2, with
-        P_r = lambda_j |z_rj|^2, N_r = lambda_a |z_ra|^2 and
-        X_r^2 = lambda_j lambda_a (z_rj . z_ra)^2, so log det grows by the
-        concave f(alpha) = sum_r mu_r log phi_r.  A safeguarded Newton run on
-        f' finds its maximum on (0, omega_a].  The step is taken when
-        f(alpha) is at least ``gain``; then ``w`` is updated in place and
-        the new sensitivities, f(alpha) and whether omega_a was emptied are
-        returned; otherwise None.
-        """
-        a = int(np.where(w > 0, d, np.inf).argmin())
-        w_a = float(w[a])
-        # f(alpha) <= alpha f'(0) = alpha (d_j - d_a) by concavity
-        if w_a * float(d[j] - d[a]) < gain:
-            return None
+    def pair(self, d, z, j, a):
+        """s_r = P_r - N_r and t_r = P_r N_r - X_r^2 of the exchange from orbit
+        a to orbit j, with P_r = lambda_j |z_rj|^2, N_r = lambda_a |z_ra|^2 and
+        X_r^2 = lambda_j lambda_a (z_rj . z_ra)^2; ``moved`` needs nothing."""
         z_j, z_a = z[:, :, j], z[:, :, a]
         plus = self.lam[j] * np.einsum("ri,ri->r", z_j, z_j)
         minus = self.lam[a] * np.einsum("ri,ri->r", z_a, z_a)
         cross = self.lam[j] * self.lam[a] * np.einsum("ri,ri->r", z_j, z_a) ** 2
-        # phi_r(alpha) = 1 + alpha s_r - alpha^2 t_r, t_r >= 0 by Cauchy-Schwarz
-        s, t = plus - minus, np.maximum(plus * minus - cross, 0.0)
-        mu = self.mu
+        return plus - minus, np.maximum(plus * minus - cross, 0.0), None
 
-        def slope(alpha):
-            """f'(alpha) and f''(alpha), or None where some phi_r <= 0."""
-            phi = 1.0 + alpha * (s - alpha * t)
-            if not (phi > 0.0).all():
-                return None
-            share = (s - 2.0 * alpha * t) / phi
-            return float(mu @ share), -float(mu @ (share * share + 2.0 * t / phi))
-
-        value = slope(w_a)
-        if value is not None and value[0] >= 0.0:
-            alpha = w_a
-        else:
-            # Newton inside the bracket (lo, hi): f' > 0 at lo, and f' <= 0
-            # or some phi_r <= 0 at hi; a step that leaves it bisects
-            lo, hi, alpha = 0.0, w_a, 0.0
-            for _ in range(100):
-                value = slope(alpha)
-                if value is None:
-                    hi = alpha
-                    step = 0.5 * (lo + hi)
-                elif value[0] == 0.0:
-                    break
-                else:
-                    if value[0] > 0.0:
-                        lo = alpha
-                    else:
-                        hi = alpha
-                    step = alpha - value[0] / value[1]
-                    if not lo < step < hi:
-                        step = 0.5 * (lo + hi)
-                done = abs(step - alpha) <= 1e-15 * step
-                alpha = step
-                if done:
-                    break
-        log_phi = float(mu @ np.log1p(alpha * (s - alpha * t)))
-        if log_phi < gain:
-            return None
-        emptied = alpha == w_a
-        w[j] += alpha
-        w[a] = 0.0 if emptied else w_a - alpha
-        return self.evaluate(w)[1], log_phi, emptied
+    def moved(self, w, d, carry, alpha):
+        """The sensitivities of the moved weights ``w``."""
+        return self.evaluate(w)[1]
 
     def saturated(self, w: np.ndarray):
         """The uniform design on the orbits of largest per-setting weight.

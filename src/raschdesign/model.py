@@ -440,12 +440,18 @@ def fisher_information(
     w: Design, theta: ParameterVector, m: InteractionModel
 ) -> np.ndarray:
     """Fisher information: weighted sum of lambda(x) f(x) f(x)^T over the support."""
+    return _information(_weighted(w, theta, m)[1], m)
+
+
+def _weighted(w: Design, theta: ParameterVector, m: InteractionModel):
+    """The intensities, and the weight times intensity of every setting, by mask."""
     if w.k != m.k:
         raise ValueError(f"design on k={w.k} rules does not match model k={m.k}")
+    lam = intensities(theta, m)
     sup = np.fromiter(w.support, dtype=np.intp)
     wl = np.zeros(1 << m.k)
-    wl[sup] = np.fromiter(w.weights.values(), dtype=float) * intensities(theta, m)[sup]
-    return _information(wl, m)
+    wl[sup] = np.fromiter(w.weights.values(), dtype=float) * lam[sup]
+    return lam, wl
 
 
 def _information(wl: np.ndarray, m: InteractionModel) -> np.ndarray:

@@ -15,26 +15,28 @@ costs O(k 2^k + p^3) time and O(2^k + p^2) memory.
 Near a change of optimal support the multiplicative step crawls, so
 each iteration after the first may put one vertex-exchange step
 (Boehning 1986, Metrika 33:337-347; the first half of Yu's cocktail
-algorithm, Stat. Comput. 21:475-481, 2011) before it.  The step moves
-weight alpha from k, the support point with the smallest d, to
-j = argmax d.  With a_x = sqrt(lambda_x) f(x) and d_jk = a_j^T M^{-1} a_k,
-log det grows by log phi, where
+algorithm, Stat. Comput. 21:475-481, 2011) before it, written once for
+both kernels (``_exchange``).  It moves weight alpha from a, the support
+point with the smallest d, to j = argmax d.  M splits into blocks r of
+multiplicity mu_r (one block, mu = 1, on the lattice; Schrijver's blocks
+on the orbits, below), each changed by a rank-2 term, so log det grows by
+f(alpha) = sum_r mu_r log phi_r with
 
-    phi = (1 + alpha d_j)(1 - alpha d_k) + alpha^2 d_jk^2,
+    phi_r = 1 + alpha s_r - alpha^2 t_r,  s_r = P_r - N_r,  t_r = P_r N_r - X_r^2 >= 0,
 
-which is largest at alpha = (d_j - d_k) / (2 (d_j d_k - d_jk^2)), clipped
-to (0, w_k].  The step is taken only when log phi is at least the gain
-of the preceding multiplicative step, so no constant tunes it; it is
-skipped at iteration 0 and right after a deletion, where that gain is
-unknown.  The sensitivities of the new design follow from a rank-2
-identity, d'(x) = d(x) - lambda_x v_x^T C^{-1} v_x with
-v_x = (f(x)^T z_j, f(x)^T z_k), z = M^{-1} a and
-C = diag(1/alpha, -1/alpha) + A^T M^{-1} A for A = (a_j, a_k).  f(x)^T z
-for every x is one zeta transform of z placed on the masks, and an
-LDL^T split of the 2 x 2 form needs two such transforms with one 2^k
-buffer, so no second factorization is needed; the multiplicative step
-then uses d'.  A step not taken costs O(2^k + p^2): the argmin over the
-support and d_jk.  A step taken adds two zeta transforms, O(k 2^k).
+where P_r and N_r are block r's shares of d_j and d_a (sum_r mu_r P_r = d_j)
+and X_r their cross term; on the lattice P = d_j, N = d_a and
+X = a_j^T M^{-1} a_a for a_x = sqrt(lambda_x) f(x).  For one block the
+concave f peaks on (0, w_a] at min(s / 2t, w_a); for more, a safeguarded
+Newton run on f' finds the peak (``_step_length``).  As log is concave,
+f(alpha) <= n log(1 + alpha (d_j - d_a) / n) with n = sum_r mu_r, which
+screens a step before any block is read.  The step is taken only when
+f(alpha) is at least the gain of the preceding multiplicative step, so no
+constant tunes it; it is skipped at iteration 0 and right after a
+deletion, where that gain is unknown.  The multiplicative step then uses
+the new d: the lattice's rank-2 update (``_Lattice.moved``) or the orbits'
+evaluation.  On the lattice a step not taken costs O(2^k + p^2), and one
+taken adds two zeta transforms, O(k 2^k).
 
 After every step that did not stop, settings that cannot carry weight in
 any D-optimal design are deleted from the support by the bound of Harman
@@ -64,14 +66,12 @@ and is B_r = sum_c omega_c lambda_c h_rc h_rc^T, with
 h_rc[i] = sqrt(C(c-r, i-r) C(k-i-r, c-i) / C(k,c)) for i = r..min(d, k-r)
 (``_orbits``).  Then log det M = sum_r mu_r log det B_r and d is constant on
 each orbit, so an iteration costs O(k d^3) and no p x p array exists.  The
-exchange moves weight between whole orbits, from the argmin-d orbit of
-the support to the argmax-d orbit, with its length from an exact Newton
-line search on sum_r mu_r log det(B_r + alpha Delta_r); deletion removes
-whole orbits; the snap takes the orbits of largest per-setting weight
-when their sizes add up to exactly p, also when the support is those
-orbits already, so a saturated result has weights 1/p exactly.  The
-result spreads omega_c evenly over orbit c.  Every other parameter runs
-on the 2^k lattice, which stays the orbit path's test oracle
+exchange moves weight between whole orbits, and deletion removes whole
+orbits; the snap takes the orbits of largest per-setting weight when
+their sizes add up to exactly p, also when the support is those orbits
+already, so a saturated result has weights 1/p exactly.  The result
+spreads omega_c evenly over orbit c.  Every other parameter runs on the
+2^k lattice, which stays the orbit path's test oracle
 (``_optimize_on_lattice``).
 """
 
@@ -126,7 +126,7 @@ class OptimizerResult:
     #: a snapped result's own log det is ``log_det``, not the last entry.
     log_det_trace: np.ndarray = field(repr=False)
     #: trace indices after which settings left the support: a
-    #: Harman-Pronzato deletion or an exchange step that emptied w_k.
+    #: Harman-Pronzato deletion or an exchange step that emptied w_a.
     prune_iterations: tuple[int, ...]
     support_size: int
     caratheodory_ok: bool
@@ -155,68 +155,81 @@ def classify_structure(w: Design, m: InteractionModel) -> DesignStructure:
     return DesignStructure.INTERIOR
 
 
-def _exchange(
-    w: np.ndarray,
-    d: np.ndarray,
-    j: int,
-    minv: np.ndarray,
-    lam: np.ndarray,
-    masks: np.ndarray,
-    gain: float,
-) -> tuple[np.ndarray, float, bool] | None:
-    """Optimal-length vertex exchange to the best setting ``j = argmax d``.
-
-    Moves weight alpha from k, the argmin of d over the support, to j
-    when the exact log det gain log(phi) is at least ``gain``.  Returns
-    the sensitivities of the new design, log(phi) and whether w_k was
-    emptied, and updates ``w`` in place; returns None and leaves ``w``
-    alone when the step is not taken.
-    """
-    k = int(np.where(w > 0, d, np.inf).argmin())
-    d_j, d_k, w_k = float(d[j]), float(d[k]), float(w[k])
-    # phi(alpha) <= 1 + alpha (d_j - d_k) for alpha <= w_k, since d_jk^2 <= d_j d_k
-    if math.log1p(w_k * (d_j - d_k)) < gain:
+def _exchange(kernel, w, d, j, state, gain):
+    """Move weight alpha from a, the argmin of d over the support, to
+    ``j = argmax d`` when the gain log(phi) is at least ``gain``; ``state`` is
+    ``kernel.evaluate``'s third value.  Updates ``w`` in place and returns the
+    new sensitivities, log(phi) and whether w_a was emptied, else None."""
+    a = int(np.where(w > 0, d, np.inf).argmin())
+    w_a = float(w[a])
+    n = sum(kernel.mu.tolist())
+    # f(alpha) <= n log(1 + w_a (d_j - d_a) / n) on (0, w_a], by concavity
+    if n * math.log1p(w_a * float(d[j] - d[a]) / n) < gain:
         return None
-    in_k = (masks & k) == masks
-    u_j = ((masks & j) == masks) @ minv  # M^{-1} f_j, as M^{-1} is symmetric
-    root_j, root_k = math.sqrt(lam[j]), math.sqrt(lam[k])
-    d_jk = root_j * root_k * float(u_j @ in_k)
-    det_g = d_j * d_k - d_jk * d_jk
-    alpha = w_k if det_g <= 0.0 else min((d_j - d_k) / (2.0 * det_g), w_k)
-    log_phi = math.log1p(alpha * (d_j - d_k) - alpha * alpha * det_g)
+    s, t, carry = kernel.pair(d, state, j, a)
+    alpha, log_phi = _step_length(s, t, kernel.mu, w_a)
     if log_phi < gain:
         return None
-
-    # d'(x) = d(x) - lambda_x v_x^T C^{-1} v_x with v_x = (f_x^T z_j, f_x^T z_k);
-    # as c_jj > 0, v^T C^{-1} v = v_j^2 / c_jj + (c_jj / det C) (f_x^T y)^2
-    # with y = z_k - (d_jk / c_jj) z_j, so two one-row transforms serve
-    c_jj = 1.0 / alpha + d_j
-    det_c = c_jj * (d_k - 1.0 / alpha) - d_jk * d_jk
-    z_j = root_j * u_j
-    y = root_k * (in_k @ minv) - (d_jk / c_jj) * z_j
-    update = np.zeros_like(d)
-    lattice = np.empty_like(d)
-    for vec, scale in ((z_j, 1.0 / c_jj), (y, c_jj / det_c)):
-        lattice.fill(0.0)
-        lattice[masks] = vec
-        zeta(lattice)
-        lattice *= lattice
-        lattice *= scale
-        update += lattice
-    update *= lam
-    emptied = alpha == w_k
+    emptied = alpha == w_a
     w[j] += alpha
-    w[k] = 0.0 if emptied else w_k - alpha
-    return np.subtract(d, update, out=update), log_phi, emptied
+    w[a] = 0.0 if emptied else w_a - alpha
+    return kernel.moved(w, d, carry, alpha), log_phi, emptied
+
+
+def _step_length(s, t, mu, w_a: float) -> tuple[float, float]:
+    """The alpha in (0, w_a] that maximizes f(alpha) = sum_r mu_r log phi_r,
+    phi_r = 1 + alpha s_r - alpha^2 t_r, for t_r >= 0 and f'(0) > 0, and
+    f(alpha)."""
+    if len(s) == 1:
+        s_0, t_0 = float(s[0]), float(t[0])
+        alpha = w_a if t_0 <= 0.0 else min(s_0 / (2.0 * t_0), w_a)
+        return alpha, float(mu[0]) * math.log1p(alpha * (s_0 - alpha * t_0))
+
+    def slope(alpha):
+        """f'(alpha) and f''(alpha), or None where some phi_r <= 0."""
+        phi = 1.0 + alpha * (s - alpha * t)
+        if not (phi > 0.0).all():
+            return None
+        share = (s - 2.0 * alpha * t) / phi
+        return float(mu @ share), -float(mu @ (share * share + 2.0 * t / phi))
+
+    value = slope(w_a)
+    if value is not None and value[0] >= 0.0:
+        alpha = w_a
+    else:
+        # Newton inside the bracket (lo, hi): f' > 0 at lo, and f' <= 0
+        # or some phi_r <= 0 at hi; a step that leaves it bisects
+        lo, hi, alpha = 0.0, w_a, 0.0
+        for _ in range(100):
+            value = slope(alpha)
+            if value is None:
+                hi = alpha
+                step = 0.5 * (lo + hi)
+            elif value[0] == 0.0:
+                break
+            else:
+                if value[0] > 0.0:
+                    lo = alpha
+                else:
+                    hi = alpha
+                step = alpha - value[0] / value[1]
+                if not lo < step < hi:
+                    step = 0.5 * (lo + hi)
+            done = abs(step - alpha) <= 1e-15 * step
+            alpha = step
+            if done:
+                break
+    return alpha, float(mu @ np.log1p(alpha * (s - alpha * t)))
 
 
 class _Lattice:
-    """The ascent's kernel on the weights of all 2^k settings."""
+    """The ascent's kernel on the weights of all 2^k settings: one block."""
 
     def __init__(self, theta: ParameterVector, m: InteractionModel) -> None:
         self.m = m
         self.lam = intensities(theta.with_base_zero(), m)
         self.masks = np.asarray(m.masks, dtype=np.intp)
+        self.mu = np.ones(1)
 
     def start(self) -> np.ndarray:
         """The uniform design on all 2^k settings."""
@@ -234,9 +247,42 @@ class _Lattice:
         minv, d = _sensitivities(low, self.lam, self.m)
         return 2.0 * float(np.sum(np.log(np.diag(low)))), d, minv
 
-    def exchange(self, w, d, j, minv, gain):
-        """``_exchange`` on this kernel's intensities and masks."""
-        return _exchange(w, d, j, minv, self.lam, self.masks, gain)
+    def pair(self, d, minv, j, a):
+        """s = d_j - d_a and t = max(d_j d_a - d_ja^2, 0) of the exchange from
+        a to j, with d_ja = a_j^T M^{-1} a_a, and what ``moved`` needs."""
+        masks = self.masks
+        in_a = (masks & a) == masks
+        u_j = ((masks & j) == masks) @ minv  # M^{-1} f_j, as M^{-1} is symmetric
+        d_ja = math.sqrt(self.lam[j]) * math.sqrt(self.lam[a]) * float(u_j @ in_a)
+        d_j, d_a = float(d[j]), float(d[a])
+        t = max(d_j * d_a - d_ja * d_ja, 0.0)
+        return np.array([d_j - d_a]), np.array([t]), (minv, u_j, in_a, j, a, d_ja)
+
+    def moved(self, w, d, carry, alpha):
+        """The sensitivities after the exchange, by a rank-2 identity:
+        d'(x) = d(x) - lambda_x v_x^T C^{-1} v_x, v_x = (f(x)^T z_j, f(x)^T z_a),
+        z = M^{-1} a and C = diag(1/alpha, -1/alpha) + A^T M^{-1} A, A = (a_j, a_a).
+        As c_jj > 0, v^T C^{-1} v = v_j^2 / c_jj + (c_jj / det C) (f(x)^T y)^2
+        with y = z_a - (d_ja / c_jj) z_j, built only once the step is taken.
+        f(x)^T z for every x is one zeta transform of z placed on the masks,
+        so two transforms with one 2^k buffer replace a second factorization.
+        """
+        minv, u_j, in_a, j, a, d_ja = carry
+        c_jj = 1.0 / alpha + float(d[j])
+        det_c = c_jj * (float(d[a]) - 1.0 / alpha) - d_ja * d_ja
+        z_j = math.sqrt(self.lam[j]) * u_j
+        y = math.sqrt(self.lam[a]) * (in_a @ minv) - (d_ja / c_jj) * z_j
+        update = np.zeros_like(d)
+        lattice = np.empty_like(d)
+        for vec, scale in ((z_j, 1.0 / c_jj), (y, c_jj / det_c)):
+            lattice.fill(0.0)
+            lattice[self.masks] = vec
+            zeta(lattice)
+            lattice *= lattice
+            lattice *= scale
+            update += lattice
+        update *= self.lam
+        return np.subtract(d, update, out=update)
 
     def saturated(self, w: np.ndarray) -> tuple[np.ndarray, Design] | None:
         """The uniform design on the p heaviest settings, as weights and as a
@@ -333,7 +379,7 @@ def _optimize(kernel_type, theta, m, max_iterations) -> OptimizerResult:
 
         step_d = d
         if gain is not None:
-            step = kernel.exchange(w, d, best, state, gain)
+            step = _exchange(kernel, w, d, best, state, gain)
             if step is not None:
                 step_d, log_phi, emptied = step
                 last_log_det += log_phi

@@ -81,9 +81,10 @@ from .model import (
     ParameterVector,
     _check_model,
     _cholesky,
+    _information,
     _sensitivities,
+    _weighted,
     choose,
-    fisher_information,
     intensities,
     mask_subset,
     regression_matrix,
@@ -308,15 +309,15 @@ def sensitivities(
 
     Read at base parameter 0: d does not depend on it.
     """
-    theta = theta.with_base_zero()
+    lam, wl = _weighted(w, theta.with_base_zero(), m)
     try:
-        low = _cholesky(fisher_information(w, theta, m))
+        low = _cholesky(_information(wl, m))
     except np.linalg.LinAlgError as exc:
         raise SingularInformation(
             f"information matrix of a design on {len(w.support)} points "
             f"is not positive definite (p={m.p})"
         ) from exc
-    return _sensitivities(low, intensities(theta, m), m)[1]
+    return _sensitivities(low, lam, m)[1]
 
 
 def kw_certificate(

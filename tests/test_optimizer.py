@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import raschdesign as rd
@@ -225,8 +225,7 @@ class TestVertexExchange:
         low = np.linalg.cholesky(rd.fisher_information(before, theta, m))
         minv = np.linalg.inv(low @ low.T)
         step = optimizer._exchange(
-            w, d, int(np.argmax(d)), minv, rd.intensities(theta, m),
-            np.asarray(m.masks), -math.inf,
+            optimizer._Lattice(theta, m), w, d, int(np.argmax(d)), minv, -math.inf,
         )
         assert step is not None
         updated, log_phi, _ = step
@@ -245,9 +244,9 @@ class TestVertexExchange:
             evaluations.append(None)
             return inner_sensitivities(*args)
 
-        def recording_exchange(w, *args):
+        def recording_exchange(kernel, w, *args):
             before = w > 0
-            step = inner_exchange(w, *args)
+            step = inner_exchange(kernel, w, *args)
             if step is not None and step[2]:
                 assert np.count_nonzero(before & (w == 0)) == 1
                 emptied.append(len(evaluations) - 1)
@@ -272,6 +271,48 @@ class TestVertexExchangeOnLattice(TestVertexExchange):
     transition and its snap rules stay bounded."""
 
     run = staticmethod(optimizer._optimize_on_lattice)
+
+
+def exchange_gain(alpha, s, t, mu):
+    """f(alpha) = sum_r mu_r log(1 + alpha s_r - alpha^2 t_r), -inf where some
+    factor is not positive."""
+    step = alpha * (s - alpha * t)
+    return float(mu @ np.log1p(step)) if (step > -1.0).all() else -math.inf
+
+
+class TestStepLength:
+    """The exchange's line search, on blocks drawn at random."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(1e-6, 10.0), st.floats(0.0, 100.0), st.floats(1e-3, 1.0))
+    def test_one_block_is_the_closed_form(self, s, t, w_a):
+        alpha, gain = optimizer._step_length(np.array([s]), np.array([t]), np.ones(1), w_a)
+        assert alpha == (w_a if t == 0.0 else min(s / (2.0 * t), w_a))
+        assert gain == math.log1p(alpha * (s - alpha * t))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_no_grid_point_beats_the_step(self, data):
+        blocks = data.draw(st.integers(1, 5), label="blocks")
+        s = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=blocks,
+                                        max_size=blocks), label="s"))
+        t = np.array(data.draw(st.lists(st.floats(0.0, 4.0), min_size=blocks,
+                                        max_size=blocks), label="t"))
+        mu = np.array(data.draw(st.lists(st.integers(1, 50), min_size=blocks,
+                                         max_size=blocks), label="mu"), dtype=float)
+        w_a = data.draw(st.floats(1e-3, 1.0), label="w_a")
+        slope = float(mu @ s)
+        assume(slope > 1e-6)
+        alpha, best = optimizer._step_length(s, t, mu, w_a)
+        assert 0.0 < alpha <= w_a
+        assert best == pytest.approx(exchange_gain(alpha, s, t, mu), rel=1e-12, abs=1e-15)
+        n = float(mu.sum())
+        for point in np.linspace(0.0, w_a, 2001)[1:]:
+            value = exchange_gain(point, s, t, mu)
+            assert best >= value - 1e-12 * max(1.0, abs(value))
+            # the screen of _exchange bounds every step it lets through
+            bound = n * math.log1p(point * slope / n)
+            assert value <= bound + 1e-12 * max(1.0, abs(bound))
 
 
 def exchangeable(m, b):

@@ -102,6 +102,23 @@ def test_submodules_resolve_as_attributes(fresh_python):
     assert out.returncode == 0, out.stderr
 
 
+def test_no_module_touches_numpy_on_import(fresh_python):
+    # the rule of _numpy, for every module, also those that cli imports
+    # only inside a command
+    names = sorted(path.stem for path in (Path(__file__).resolve().parents[1]
+                                          / "src" / "raschdesign").glob("*.py"))
+    code = (
+        "import importlib, sys\n"
+        f"for name in {names!r}:\n"
+        "    importlib.import_module('raschdesign' if name == '__init__' "
+        "else 'raschdesign.' + name)\n"
+        "print(type(sys.modules['numpy']).__name__)"
+    )
+    out = fresh_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "_LazyModule"
+
+
 def test_missing_numpy_is_a_module_not_found_error(fresh_python):
     code = (
         "import sys; sys.modules['numpy'] = None\n"
