@@ -34,16 +34,22 @@ ascent on the orbit weights costs O(k d^3), and no p x p array exists.  The
 vertex exchange of ``optimizer`` moves weight between whole orbits; block r
 holds lambda_c |L_r^-1 h_rc|^2 of d_c, which gives its P_r and N_r
 (``Orbits.pair``).
-``optimizer`` imports this module only for an exchangeable parameter.
+An invariant design's d_c is its equivalence-theorem value on every
+setting of orbit c, so ``regions.kw_certificate`` reads its verdict from
+``Orbits.evaluate`` too.  ``optimizer`` and ``regions`` import this module
+only for an exchangeable parameter.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from functools import partial
 
 from ._numpy import np
 from .exceptions import SingularInformation
 from .model import Design, _LOG_MAX, _check_model, _cholesky, _overflow, choose
+from .regions import KW_TOL, _singular, _verdict
 
 
 def orbit_blocks(k: int, d: int):
@@ -146,21 +152,75 @@ class Orbits:
         return self._expand(w / self.sizes)
 
     def _expand(self, per_setting: np.ndarray) -> Design:
-        """The design with weight ``per_setting[c]`` on each setting of orbit c.
+        """The design with weight ``per_setting[c]`` on each setting of orbit c."""
+        return Design(self.k, dict(zip(*orbit_settings(per_setting))))
 
-        The settings come in mask order, 2^12 at a time: |x| of a block is
-        |x| of its low 12 bits, from one table, plus |x| of the block's high
-        bits.  So ``Design`` gets its keys sorted, and no 2^k array exists.
-        """
-        low_bits = min(self.k, 12)
-        size = np.zeros(1 << low_bits, dtype=np.intp)
-        for i in range(low_bits):
-            size[1 << i:2 << i] = size[:1 << i] + 1
-        keys: list[int] = []
-        weights: list[float] = []
-        for high in range(1 << (self.k - low_bits)):
-            block = per_setting[size + high.bit_count()]
-            at = np.flatnonzero(block)
-            keys += (at + (high << low_bits)).tolist()
-            weights += block[at].tolist()
-        return Design(self.k, dict(zip(keys, weights)))
+
+def orbit_settings(per_setting: np.ndarray) -> tuple[list[int], list[float]]:
+    """The settings of the orbits c with ``per_setting[c]`` nonzero, k = its
+    length - 1, in mask order, and ``per_setting[c]`` of each.
+
+    The settings come 2^12 at a time: |x| of a block is |x| of its low 12
+    bits, from one table, plus |x| of the block's high bits.  So the masks
+    come sorted, and no 2^k array exists.
+    """
+    k = per_setting.size - 1
+    low_bits = min(k, 12)
+    size = np.zeros(1 << low_bits, dtype=np.intp)
+    for i in range(low_bits):
+        size[1 << i:2 << i] = size[:1 << i] + 1
+    keys: list[int] = []
+    weights: list[float] = []
+    for high in range(1 << (k - low_bits)):
+        block = per_setting[size + high.bit_count()]
+        at = np.flatnonzero(block)
+        keys += (at + (high << low_bits)).tolist()
+        weights += block[at].tolist()
+    return keys, weights
+
+
+def orbit_verdict(w: Design, theta, m):
+    """``regions.kw_certificate`` of ``w`` at the exchangeable ``theta``, read
+    on the orbits, or None when ``w`` is not S_k-invariant or the lattice
+    must raise.
+
+    ``w`` is invariant when it puts one weight, compared exactly, on every
+    setting of each orbit it touches; omega_c sums its weights on orbit c.
+    d_c is then d(x) on every setting x of orbit c, so the verdict is the
+    lattice's with no 2^k array or p x p matrix: its worst setting is the
+    first mask of the worst orbit, (1 << c) - 1, and its violated settings
+    are every setting of each violated orbit, in mask order.  An
+    overflowing intensity is left to the lattice, which names its setting.
+    """
+    if w.k != m.k or theta.model != m:
+        return None
+    k = m.k
+    x = np.fromiter(w.weights, dtype=np.intp, count=len(w.weights))
+    weights = np.fromiter(w.weights.values(), dtype=float, count=x.size)
+    c = np.zeros(x.size, dtype=np.intp)
+    for i in range(k):
+        c += (x >> i) & 1
+    counts = np.bincount(c, minlength=k + 1)
+    sizes = np.array([math.comb(k, j) for j in range(k + 1)])
+    per_setting = np.zeros(k + 1)
+    per_setting[c] = weights
+    if ((counts != 0) & (counts != sizes)).any() or (per_setting[c] != weights).any():
+        return None
+    try:
+        orbits = Orbits(theta, m)
+    except ValueError:
+        return None  # an overflowing intensity: the lattice names its setting
+    try:
+        d = orbits.evaluate(np.bincount(c, weights=weights, minlength=k + 1))[1]
+    except SingularInformation as exc:
+        raise _singular(w, m) from exc
+    verdict = _verdict(d, (1 << np.arange(k + 1)) - 1, float(m.p), KW_TOL, k)
+    return replace(verdict, _violated=partial(_members, k, verdict._violated))
+
+
+def _members(k: int, firsts) -> list[int]:
+    """Every setting of the orbits whose first masks ``firsts()`` lists, in
+    mask order."""
+    on = np.zeros(k + 1)
+    on[[x.bit_length() for x in firsts()]] = 1.0
+    return orbit_settings(on)[0]

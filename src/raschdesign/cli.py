@@ -558,12 +558,15 @@ def compare(k, d, params, samples, seed, beta_low, beta_high, echo, out):
         raise click.UsageError("--beta-low must be below --beta-high")
     if not math.isfinite(beta_high - beta_low):
         raise click.UsageError("--beta-high minus --beta-low must be a finite float")
-    rng = np.random.default_rng(seed)
+    from ._splitmix import Uniforms
+
+    # sample r takes draws r (p - 1) .. (r + 1) (p - 1) - 1 of the seed's stream 0
+    draws = Uniforms(seed, (0,), m.p - 1)
     w = corner_design(m)
     disagreements = []
-    for _ in range(samples):
+    for r in range(samples):
         values = np.zeros(m.p)
-        values[1:] = rng.uniform(beta_low, beta_high, size=m.p - 1)
+        draws.draw(r * (m.p - 1), beta_low, beta_high, values[None, 1:])
         theta = ParameterVector(m, values)
         by_theorem = is_corner_optimal_by_theorem(theta, m)
         by_kw = kw_certificate(w, theta, m)

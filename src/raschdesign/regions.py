@@ -29,9 +29,12 @@ certificates for cross-checking:
 * ``kw_certificate`` computes the sensitivity lambda(x) f(x)^T M^{-1} f(x)
   for every setting (the equivalence theorem; the bound is p) from two
   zeta transforms: one builds M, one sums M^{-1} over the pairs A|B in x.
+  At an exchangeable parameter and an S_k-invariant design it reads them
+  on the k + 1 orbits (``_orbits``), with the lattice as that path's oracle.
 * ``saturated_kw_values`` computes the same quantity for saturated uniform
   designs through the inverse of the support's regression matrix and the
-  support intensities, without ever forming M.
+  support intensities, without ever forming M, ``_BLOCK`` settings at a
+  time.
 
 Both verdicts, ``is_corner_optimal_by_theorem`` (bound 1) and
 ``kw_certificate`` (bound p), come from one rule at a fixed tolerance,
@@ -50,8 +53,9 @@ C(c-1,2)^2 s t + c (c-2)^2 t + P s, which ``symmetric_slice`` sums with
 a single exp per entry; ``region_slice``, the CLI's region-slice writer and
 ``redundancy_probe`` run it over blocks of ``_BLOCK`` points, writing into
 scratch they allocate once, so their arrays stay at a few hundred KB
-whatever the grid or sample count; the probe draws its samples block by
-block as well, so its memory does not grow with the sample count.
+whatever the grid or sample count; the probe draws its samples a few
+blocks at a time (``_splitmix``), so its memory does not grow with the
+sample count either.
 
 The base parameter beta_{} scales every intensity by one factor, which
 moves no D-optimality answer, so the sensitivities and both certificates
@@ -69,7 +73,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ._lattice import (_BLOCK, corner_coefficients, corner_index, corner_labels,
                        log_zeta, zeta)
@@ -150,13 +154,13 @@ class OptimalityVerdict:
     max_directional_value: float
     bound: float
     worst_setting: tuple[int, ...]
-    _violated: np.ndarray
+    _violated: Callable[[], list[int]]
     boundary: bool
 
     @property
     def violated_labels(self) -> tuple[tuple[int, ...], ...]:
         """The rules of each violated set or setting, in the checked order."""
-        return tuple(map(mask_subset, self._violated.tolist()))
+        return tuple(map(mask_subset, self._violated()))
 
 
 def corner_design(m: InteractionModel) -> Design:
@@ -217,29 +221,35 @@ def corner_lhs(theta: ParameterVector, m: InteractionModel) -> np.ndarray:
     S is a zeta transform and log Z_0..log Z_d are ``log_zeta`` transforms
     of -beta placed level by level on the 2^k lattice, so no sum under- or
     overflows before the one exp per term, made a block of whole sizes at
-    a time (``_size_blocks``).  Overflow gives inf, never NaN: where the
-    partial sums of S(C) overflow to both +inf and -inf, a ``ValueError``
-    names the first such set C.
+    a time (``_size_blocks``).  The levels are made one at a time, in one
+    2^k array, and added in the order j = 0..d, as a sum over axis 0 adds.
+    Overflow gives inf, never NaN: where the partial sums of S(C) overflow
+    to both +inf and -inf, a ``ValueError`` names the first such set C.
     """
     _check_model(theta, m)
     masks = corner_index(m)
     beta = theta.with_base_zero().values
     where = np.asarray(m.masks, dtype=np.intp)
+    cards = np.asarray(m.cards)
     sums = np.zeros(1 << m.k)
     sums[where] = beta
-    log_z = np.full((m.d + 1, 1 << m.k), -np.inf)
-    log_z[np.asarray(m.cards), where] = -beta
-    values = np.empty(masks.size)
+    log_z = np.empty(1 << m.k)
+    values = np.zeros(masks.size)
     with np.errstate(over="ignore", invalid="ignore"):
         zeta(sums)
-        log_zeta(log_z)
-        for start, stop, runs in _size_blocks(m.k, m.d):
-            terms = log_z[:, masks[start:stop]]
-            terms += sums[masks[start:stop]]
-            np.exp(terms, out=terms)
-            for first, last, coefficients in runs:
-                terms[:, first:last] *= coefficients
-            terms.sum(axis=0, out=values[start:stop])
+        # one level j at a time, its terms added in the order j = 0..d; no
+        # term is -0.0, so the first sum, 0 + term, is the term
+        for j in range(m.d + 1):
+            log_z.fill(-np.inf)
+            log_z[where[cards == j]] = -beta[cards == j]
+            log_zeta(log_z)
+            for start, stop, runs in _size_blocks(m.k, m.d):
+                terms = log_z[masks[start:stop]]
+                terms += sums[masks[start:stop]]
+                np.exp(terms, out=terms)
+                for first, last, coefficients in runs:
+                    terms[first:last] *= coefficients[j]
+                values[start:stop] += terms
     if np.isnan(values).any():
         rules = ",".join(map(str, mask_subset(int(masks[np.isnan(values).argmax()]))))
         raise ValueError(f"the beta sum overflows at C={{{rules}}}: its partial sums "
@@ -297,7 +307,7 @@ def _verdict(
         max_directional_value=best,
         bound=bound,
         worst_setting=setting_bits(worst, k),
-        _violated=over,
+        _violated=over.tolist,
         boundary=abs(best - bound) <= bound * tol,
     )
 
@@ -313,17 +323,32 @@ def sensitivities(
     try:
         low = _cholesky(_information(wl, m))
     except np.linalg.LinAlgError as exc:
-        raise SingularInformation(
-            f"information matrix of a design on {len(w.support)} points "
-            f"is not positive definite (p={m.p})"
-        ) from exc
+        raise _singular(w, m) from exc
     return _sensitivities(low, lam, m)[1]
+
+
+def _singular(w: Design, m: InteractionModel) -> SingularInformation:
+    return SingularInformation(
+        f"information matrix of a design on {len(w.support)} points "
+        f"is not positive definite (p={m.p})"
+    )
 
 
 def kw_certificate(
     w: Design, theta: ParameterVector, m: InteractionModel
 ) -> OptimalityVerdict:
-    """Equivalence-theorem check: optimal iff max_x d(x) <= p (1 + KW_TOL)."""
+    """Equivalence-theorem check: optimal iff max_x d(x) <= p (1 + KW_TOL).
+
+    At an exchangeable ``theta`` and an S_k-invariant ``w`` the check runs
+    on the k + 1 orbits (``_orbits.orbit_verdict``); anything else runs on
+    the 2^k lattice (``sensitivities``), which raises for a mismatch.
+    """
+    if theta.exchangeable:
+        from ._orbits import orbit_verdict
+
+        verdict = orbit_verdict(w, theta, m)
+        if verdict is not None:
+            return verdict
     d = sensitivities(w, theta, m)
     return _verdict(d, np.arange(d.size), float(m.p), KW_TOL, m.k)
 
@@ -357,16 +382,22 @@ def saturated_kw_values(
             f"saturated weights deviate from 1/p by {off:.3e} (tol {UNIFORM_TOL:.0e})"
         )
     f_w = regression_matrix(m, support).astype(float)
-    rows = regression_matrix(m).astype(float)
-    try:
-        v = np.linalg.solve(f_w.T, rows.T)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSupport(
-            "support regression vectors do not form an invertible matrix"
-        ) from exc
     lam = intensities(theta, m)
-    vals = lam * np.einsum("ij,i->j", v**2, 1.0 / lam[support])
-    return {x: float(vals[x]) for x in m.settings()}
+    inverse = 1.0 / lam[support]
+    out: dict[int, float] = {}
+    # _BLOCK settings at a time, not the 2^k x p regression matrix
+    for start in range(0, 1 << m.k, _BLOCK):
+        settings = range(start, min(start + _BLOCK, 1 << m.k))
+        rows = regression_matrix(m, settings).astype(float)
+        try:
+            v = np.linalg.solve(f_w.T, rows.T)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSupport(
+                "support regression vectors do not form an invertible matrix"
+            ) from exc
+        vals = lam[start:settings.stop] * np.einsum("ij,i->j", v**2, inverse)
+        out.update(zip(settings, vals.tolist()))
+    return out
 
 
 def symmetric_slice(
@@ -402,6 +433,9 @@ def symmetric_slice(
 # block.  When each block allocated its own ten 80 KB temporaries (k = 12),
 # a fresh 10^6-sample probe sometimes took 16 times the page faults and
 # a third more time, which fits glibc trimming and regrowing the heap.
+
+#: Samples per call of the probe's sampler; a block per call took twice as long.
+_DRAWS = 8 * _BLOCK
 
 #: Verdict names of the slice, indexed by the codes of ``_slice_verdicts``.
 _VERDICTS = ("optimal", "boundary", "not-optimal")
@@ -604,35 +638,37 @@ def redundancy_probe(
     Deterministic given the seed.  Absence of a witness is sampling
     evidence of redundancy on the region, not a proof.
 
-    The samples come from one PCG64 stream, ``np.random.default_rng(seed)``,
-    at one 64-bit draw per sample: s takes draws 0..n-1 and t takes draws
-    n..2n-1, so sample i is the i-th entry of ``rng.uniform(*s_range, n)``
-    and of the ``rng.uniform(*t_range, n)`` drawn after it.  The probe
-    keeps this layout.  Two generators of the seed, the second advanced by
-    n draws, deal the samples out ``_BLOCK`` at a time, so no array grows
-    with the sample count; a witness is the first sample, in that order,
-    that violates c alone.
+    Sample i is (s, t) = draw i of the seed's SplitMix64 streams 0 and 1
+    (``_splitmix``), a fixed function of the seed, the stream and i, so no
+    sample depends on how many are drawn at once.  The probe draws
+    ``_DRAWS`` samples per call and checks them ``_BLOCK`` at a time, so no
+    array grows with the sample count.  A witness is the first sample, in
+    that order, that violates c alone.
     """
+    from ._splitmix import Uniforms
+
     _check_slice_model(m)
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if not (0 < s_range[0] < s_range[1]) or not (0 < t_range[0] < t_range[1]):
         raise ValueError("sampling ranges must satisfy 0 < low < high")
-    s_rng = np.random.default_rng(seed)
-    t_rng = np.random.default_rng(seed)
-    t_rng.bit_generator.advance(n_samples)
     cs = _slice_coefficients(m.k, m.d)[0]
     n_violated = np.zeros(cs.size, dtype=np.intp)
     n_witness = np.zeros(cs.size, dtype=np.intp)
     witnesses: list[tuple[float, float] | None] = [None] * cs.size
-    # every block reuses the kernel's scratch and two flag arrays
-    width = min(_BLOCK, n_samples)
+    # every block reuses the samples, the kernel's scratch and two flag arrays
+    width, drawn = min(_BLOCK, n_samples), min(_DRAWS, n_samples)
+    draws = Uniforms(seed, (0, 1), drawn)
+    low, high = (np.array([[s_range[i]], [t_range[i]]]) for i in (0, 1))
+    samples = np.empty((2, drawn))
     scratch = np.empty((3, cs.size, width))
     flags = np.empty((2, cs.size, width), dtype=bool)
     for start in range(0, n_samples, _BLOCK):
         size = min(_BLOCK, n_samples - start)
-        ss = s_rng.uniform(s_range[0], s_range[1], size=size)
-        tt = t_rng.uniform(t_range[0], t_range[1], size=size)
+        at = start % _DRAWS
+        if not at:
+            draws.draw(start, low, high, samples[:, :min(_DRAWS, n_samples - start)])
+        ss, tt = samples[:, at:at + size]
         violated, unique = flags[:, :, :size]
         np.greater(_slice_values(m, ss, tt, scratch).T, 1.0 + THEOREM_TOL, out=violated)
         np.bitwise_and(violated, np.count_nonzero(violated, axis=0) == 1, out=unique)

@@ -117,6 +117,35 @@ def test_fresh_process_matches_in_process(fresh_python, runner, tmp_path, monkey
         assert (fresh / name).read_bytes() == (here / name).read_bytes(), name
 
 
+@pytest.fixture(scope="module")
+def numpy_loads_its_random():
+    """Whether ``import numpy`` alone loads ``numpy.random``, as numpy 1 does."""
+    code = "import numpy, sys; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    return out.stdout.strip() == "True"
+
+
+@pytest.mark.parametrize("command", [*sorted(FRESH_RUNS), "compare --echo"])
+def test_no_command_loads_numpy_random(fresh_python, tmp_path, params_file, command,
+                                       numpy_loads_its_random):
+    # probe and compare draw from the package's own SplitMix64 streams
+    if numpy_loads_its_random:
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    design = tmp_path / "given_design.json"
+    design.write_text(json.dumps({"k": 2, "weights": {"00": 0.5, "10": 0.25, "01": 0.25}}))
+    args = ["--params", "{params}", "--echo"] if command == "compare --echo" else \
+        FRESH_RUNS[command]
+    argv = [command.split()[0], *(a.format(params=params_file, design=design)
+                                  for a in args)]
+    code = ("import sys\nfrom raschdesign.cli import main\n"
+            "main(sys.argv[1:], standalone_mode=False)\n"
+            "print('numpy.random' in sys.modules)")
+    proc = fresh_python("-c", code, *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 #: Starts: (argv, exit code, whether the start loads numpy).
 STARTS = {
     "version": (["--version"], 0, False),

@@ -12,8 +12,11 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import raschdesign as rd
-from raschdesign import optimizer, regions
-from raschdesign._lattice import corner_coefficients, corner_index, corner_labels
+from raschdesign import _orbits, optimizer, regions
+from raschdesign._lattice import (corner_coefficients, corner_index, corner_labels, log_zeta,
+                                  zeta)
+from raschdesign._orbits import orbit_settings
+from raschdesign._splitmix import Uniforms
 
 
 def symmetric_monomial_counts(q):
@@ -144,6 +147,26 @@ def reference_lhs(theta, m):
     return tuple(q.label for q in ineqs), values
 
 
+def whole_lattice_lhs(theta, m):
+    """``corner_lhs`` with the whole (d + 1) x 2^k log Z array, its levels
+    summed by ``terms.sum(axis=0)``: the formula the level-at-a-time pass
+    keeps bit for bit."""
+    masks = corner_index(m)
+    beta = theta.with_base_zero().values
+    where = np.asarray(m.masks, dtype=np.intp)
+    sums = np.zeros(1 << m.k)
+    sums[where] = beta
+    log_z = np.full((m.d + 1, 1 << m.k), -np.inf)
+    log_z[np.asarray(m.cards), where] = -beta
+    sizes = np.array([len(c) for c in corner_labels(m.k, m.d)], dtype=np.intp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        zeta(sums)
+        log_zeta(log_z)
+        terms = np.exp(log_z[:, masks] + sums[masks])
+        terms *= corner_coefficients(m.k, m.d)[:, sizes - m.d - 1]
+        return terms.sum(axis=0)
+
+
 class TestCornerLhs:
     @pytest.mark.parametrize("k,d", [
         (2, 1), (3, 2), (4, 2), (6, 2), (8, 2), (10, 2), (10, 3), (12, 3),
@@ -212,6 +235,32 @@ class TestCornerLhs:
         assert verdict.violated_labels == bad
         if ref_values.size:
             assert_allclose(verdict.max_directional_value, ref_values.max(), rtol=1e-12)
+
+    @pytest.mark.parametrize("k,d", [
+        (2, 1), (3, 2), (5, 2), (6, 3), (8, 1), (8, 2), (9, 3), (10, 2), (10, 3),
+    ])
+    def test_one_level_at_a_time_keeps_the_bits(self, k, d):
+        rng = np.random.default_rng(7000 + 10 * k + d)
+        m = rd.InteractionModel(k, d)
+        # the widest scale overflows terms to inf and underflows others to 0
+        for scale in (0.5, 3.0, 300.0):
+            theta = rd.ParameterVector(m, rng.normal(scale=scale, size=m.p))
+            values = rd.corner_lhs(theta, m)
+            assert np.array_equal(values, whole_lattice_lhs(theta, m))
+
+    def test_holds_one_level_of_the_lattice(self):
+        m = rd.InteractionModel(18, 3)
+        theta = rd.ParameterVector.symmetric(m, 0.5, 0.9)
+        corner_index(m)  # cached, and not part of the pass
+        tracemalloc.start()
+        try:
+            rd.corner_lhs(theta, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # S, one log Z level and the values take 6.3 MB; the whole 4 x 2^18
+        # log Z array put the peak at 15.6 MB
+        assert peak < 10e6
 
     def test_very_negative_parameters_vanish(self):
         for k, d in [(3, 2), (6, 3)]:
@@ -424,6 +473,164 @@ class TestKwCertificate:
             rd.kw_certificate(w, theta, m)
 
 
+def lattice_verdict(w, theta, m):
+    """``kw_certificate`` on the 2^k lattice, whatever ``w`` and ``theta``:
+    the orbit path's oracle."""
+    d = rd.sensitivities(w, theta, m)
+    return regions._verdict(d, np.arange(d.size), float(m.p), regions.KW_TOL, m.k)
+
+
+def invariant_design(k, per_setting):
+    """Weight ``per_setting[c]`` on every setting of orbit c."""
+    keys, weights = orbit_settings(np.asarray(per_setting, dtype=float))
+    return rd.Design(k, dict(zip(keys, weights)))
+
+
+def exchangeable_point(m, b):
+    """The parameter with beta_A = b[|A|]."""
+    return rd.ParameterVector(m, [b[c] for c in m.cards])
+
+
+def refuse(*args):
+    raise AssertionError("the orbit path built the lattice")
+
+
+def popcounts(k):
+    return np.array([x.bit_count() for x in range(1 << k)])
+
+
+class TestOrbitCertificate:
+    """``kw_certificate`` at an exchangeable parameter and an invariant design
+    reads the orbits; ``lattice_verdict`` is its oracle."""
+
+    def check(self, w, theta, m):
+        expected = lattice_verdict(w, theta, m)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(regions, "sensitivities", refuse)
+            got = rd.kw_certificate(w, theta, m)
+        assert (got.optimal, got.boundary, got.bound) == (
+            expected.optimal, expected.boundary, expected.bound)
+        assert got.violated_labels == expected.violated_labels
+        assert_allclose(got.max_directional_value, expected.max_directional_value,
+                        rtol=1e-12)
+        # the first mask of the worst orbit, where every lattice value is the maximum
+        c = sum(got.worst_setting)
+        assert got.worst_setting == rd.setting_bits((1 << c) - 1, m.k)
+        d = rd.sensitivities(w, theta, m)
+        assert_allclose(d[popcounts(m.k) == c], got.max_directional_value, rtol=1e-12)
+        return got
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_the_lattice(self, data):
+        k = data.draw(st.integers(min_value=1, max_value=8), label="k")
+        d = data.draw(st.integers(min_value=1, max_value=min(k, 3)), label="d")
+        m = rd.InteractionModel(k, d)
+        b = [data.draw(st.floats(min_value=-1.5, max_value=0.3), label="b1")]
+        b += [data.draw(st.floats(min_value=-0.3, max_value=0.2)) for _ in range(d - 1)]
+        theta = exchangeable_point(m, [data.draw(st.floats(-2.0, 2.0), label="base"), *b])
+        kind = data.draw(st.sampled_from(["corner", "uniform", "random"]), label="design")
+        if kind == "corner":
+            w = rd.corner_design(m)
+        elif kind == "uniform":
+            w = rd.Design.uniform(k)
+        else:
+            # orbits 0..d span R^p; any other orbit may join them
+            on = [c <= d or data.draw(st.booleans()) for c in range(k + 1)]
+            raw = [data.draw(st.floats(0.05, 1.0)) if used else 0.0 for used in on]
+            omega = np.array(raw) / sum(raw)
+            w = invariant_design(k, omega / [math.comb(k, c) for c in range(k + 1)])
+        # both paths lose about cond(M) eps
+        assume(np.linalg.cond(rd.fisher_information(w, theta, m)) < 1e3)
+        self.check(w, theta, m)
+
+    @pytest.mark.parametrize("k,d,s,t", [
+        (3, 1, 0.4, None), (7, 1, 0.6, None), (4, 2, 0.5, 0.9), (6, 2, 0.5, 0.9),
+        (8, 2, 0.3, 0.6), (5, 3, 0.5, 0.9), (8, 3, 0.35, 0.7),
+    ])
+    def test_optimizer_output(self, k, d, s, t):
+        m = rd.InteractionModel(k, d)
+        theta = rd.ParameterVector.symmetric(m, s, t)
+        result = rd.optimize_design(theta, m)
+        assert result.converged
+        assert self.check(result.design, theta, m).optimal
+
+    @pytest.mark.parametrize("k,d,s,t", [
+        (4, 2, 5 / 9, 4 / 5), (8, 2, 5.0, 3.0), (6, 3, 1.0, 1.0), (2, 1, 0.8, None),
+    ])
+    def test_violated_orbits_name_every_setting(self, k, d, s, t):
+        m = rd.InteractionModel(k, d)
+        got = self.check(rd.corner_design(m), rd.ParameterVector.symmetric(m, s, t), m)
+        assert not got.optimal
+        sizes = Counter(map(len, got.violated_labels))
+        assert all(n == math.comb(k, c) for c, n in sizes.items())
+
+    @pytest.mark.parametrize("k,d,orbits", [(3, 1, [0]), (3, 1, [0, 3]), (4, 2, [0, 1]),
+                                            (5, 2, [0, 1, 5])])
+    def test_singular_design_raises_the_lattice_error(self, k, d, orbits):
+        m = rd.InteractionModel(k, d)
+        theta = rd.ParameterVector.symmetric(m, 0.5, 0.9 if d > 1 else None)
+        n = sum(math.comb(k, c) for c in orbits)
+        w = invariant_design(k, [1.0 / n if c in orbits else 0.0 for c in range(k + 1)])
+        with pytest.raises(rd.SingularInformation) as lattice:
+            rd.sensitivities(w, theta, m)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(regions, "sensitivities", refuse)
+            with pytest.raises(rd.SingularInformation) as orbit:
+                rd.kw_certificate(w, theta, m)
+        assert str(orbit.value) == str(lattice.value)
+
+    @pytest.mark.parametrize("w_k,theta_d", [(4, 2), (3, 1)])
+    def test_mismatch_raises_the_lattice_error(self, w_k, theta_d):
+        m = rd.InteractionModel(3, 2)
+        theta = rd.ParameterVector.symmetric(rd.InteractionModel(3, theta_d), 0.5)
+        w = rd.Design.uniform(w_k)
+        with pytest.raises(ValueError) as lattice:
+            rd.sensitivities(w, theta, m)
+        with pytest.raises(ValueError) as orbit:
+            rd.kw_certificate(w, theta, m)
+        assert (type(orbit.value), str(orbit.value)) == (type(lattice.value),
+                                                         str(lattice.value))
+
+    @pytest.mark.parametrize("b", [(0.0, 428.21062707845255, -107.05265676961314),
+                                   (0.0, 800.0, 0.0)])
+    def test_overflow_raises_the_lattice_error(self, b):
+        # b_1 = -4 b_2 ties orbits 4 and 5; at the first point their rounding
+        # puts the orbits' maximum on orbit 5 and the lattice's on setting 111100
+        m = rd.InteractionModel(6, 2)
+        theta, w = exchangeable_point(m, b), rd.corner_design(m)
+        with pytest.raises(ValueError) as lattice:
+            rd.sensitivities(w, theta, m)
+        with pytest.raises(ValueError) as orbit:
+            rd.kw_certificate(w, theta, m)
+        assert str(orbit.value) == str(lattice.value)
+
+    @pytest.mark.parametrize("case", ["rounded weight", "part of an orbit",
+                                      "not exchangeable"])
+    def test_other_designs_and_parameters_take_the_lattice(self, case, monkeypatch):
+        m = rd.InteractionModel(4, 2)
+        theta = rd.ParameterVector.symmetric(m, 0.5, 0.9)
+        weights = dict(rd.corner_design(m).weights)
+        if case == "rounded weight":
+            # invariant up to rounding only: one weight of orbit 1 is one ulp off
+            weights[2] = np.nextafter(weights[2], 1.0)
+        elif case == "part of an orbit":
+            weights = {x: 1.0 / (m.p + 1) for x in [*weights, 7]}
+        else:
+            values = theta.values.copy()
+            values[1] = np.nextafter(values[1], 0.0)
+            theta = rd.ParameterVector(m, values)
+        w = rd.Design(4, weights)
+        monkeypatch.setattr(_orbits, "Orbits", refuse)
+        got, expected = rd.kw_certificate(w, theta, m), lattice_verdict(w, theta, m)
+        assert verdict_fields(got) == verdict_fields(expected)
+
+
+def verdict_fields(verdict):
+    return (verdict.optimal, verdict.max_directional_value, verdict.bound,
+            verdict.worst_setting, verdict.violated_labels, verdict.boundary)
+
+
 def dense_information(w, theta, m):
     """Oracle: M = F^T diag(w lambda) F from the 2^k x p regression matrix."""
     rows = rd.regression_matrix(m).astype(float)
@@ -516,6 +723,16 @@ class TestSensitivityKernel:
         assert certificate_peak < 30e6
 
 
+def whole_saturated_values(w, theta, m):
+    """``saturated_kw_values`` by one solve against the whole 2^k x p
+    regression matrix, in setting order."""
+    support = sorted(w.support)
+    f_w = rd.regression_matrix(m, support).astype(float)
+    v = np.linalg.solve(f_w.T, rd.regression_matrix(m).astype(float).T)
+    lam = rd.intensities(theta.with_base_zero(), m)
+    return lam * np.einsum("ij,i->j", v**2, 1.0 / lam[support])
+
+
 class TestSaturatedValues:
     def test_support_values_are_one(self):
         rng = np.random.default_rng(23)
@@ -546,6 +763,29 @@ class TestSaturatedValues:
                 verdict.max_directional_value / m.p,
                 rtol=1e-9,
             )
+
+    @pytest.mark.parametrize("k,d", [(11, 2), (12, 3), (13, 1)])
+    def test_blocks_match_the_whole_matrix(self, k, d):
+        rng = np.random.default_rng(31 * k + d)
+        m = rd.InteractionModel(k, d)
+        theta = rd.ParameterVector(m, rng.uniform(-2.0, 0.3, size=m.p))
+        w = rd.corner_design(m)
+        values = rd.saturated_kw_values(w, theta, m)
+        expected = whole_saturated_values(w, theta, m)
+        assert list(values) == list(range(1 << k))
+        assert_allclose(list(values.values()), expected, rtol=1e-13)
+
+    def test_memory_at_fourteen_rules(self):
+        m = rd.InteractionModel(14, 2)
+        theta = rd.ParameterVector.symmetric(m, 0.5, 0.9)
+        tracemalloc.start()
+        try:
+            rd.saturated_kw_values(rd.corner_design(m), theta, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 2^14 x 106 regression matrix and its solve put the peak at 42 MB
+        assert peak < 10e6
 
     def test_pairwise_expansion_at_order_one(self):
         m = rd.InteractionModel(2, 1)
@@ -744,12 +984,10 @@ class TestBlockedSliceKernel:
     def test_probe_matches_single_shot_reference(self):
         m = rd.InteractionModel(10, 2)
         n = 2 * regions._BLOCK + 17
-        s_range, t_range, seed = (0.1, 0.4), (1.1, 1.3), 3
+        s_range, t_range, seed = (0.1, 0.4), (1.1, 1.3), 16
         report = rd.redundancy_probe(m, s_range, t_range, n, seed)
 
-        rng = np.random.default_rng(seed)
-        ss = rng.uniform(*s_range, size=n)
-        tt = rng.uniform(*t_range, size=n)
+        ss, tt = whole_samples(s_range, t_range, n, seed)
         violated = regions._slice_values(m, ss, tt) > 1.0 + regions.THEOREM_TOL
         unique = violated & (violated.sum(axis=1) == 1)[:, None]
         expected = {}
@@ -819,12 +1057,15 @@ def row_major_slice(k, s, t):
         return lead * (st * t) + single * (base * t) + pairs * st
 
 
+def whole_samples(s_range, t_range, n, seed):
+    """The probe's n samples in one call: s from stream 0, t from stream 1."""
+    low, high = ([[s_range[i]], [t_range[i]]] for i in (0, 1))
+    return Uniforms(seed, (0, 1), n).draw(0, low, high, np.empty((2, n)))
+
+
 def single_shot_probe(m, s_range, t_range, n, seed, tol=regions.THEOREM_TOL):
-    """The probe over whole sample arrays: s from one uniform call, t from
-    the next call on the same generator."""
-    rng = np.random.default_rng(seed)
-    ss = rng.uniform(*s_range, size=n)
-    tt = rng.uniform(*t_range, size=n)
+    """The probe over whole sample arrays, drawn in one call."""
+    ss, tt = whole_samples(s_range, t_range, n, seed)
     violated = row_major_slice(m.k, ss, tt) > 1.0 + tol
     unique = violated & (violated.sum(axis=1) == 1)[:, None]
     report = {}
@@ -854,6 +1095,15 @@ class TestStreamedProbe:
         assert (report.n_samples, report.seed) == (n, seed)
         if n >= regions._BLOCK:
             assert any(e.witness for e in report.entries.values())
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    def test_draws_per_call_move_no_sample(self, blocks, monkeypatch):
+        m = rd.InteractionModel(12, 2)
+        n = 5 * regions._BLOCK + 17
+        ranges = self.RANGES[0]
+        expected = single_shot_probe(m, *ranges, n, 9)
+        monkeypatch.setattr(regions, "_DRAWS", blocks * regions._BLOCK)
+        assert rd.redundancy_probe(m, *ranges, n, 9).as_dict() == expected
 
     @pytest.mark.parametrize("n", [1_000_000, 4_000_000])
     def test_memory_is_constant_in_samples(self, n):
