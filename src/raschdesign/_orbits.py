@@ -43,13 +43,10 @@ only for an exchangeable parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
-from functools import partial
 
 from ._numpy import np
 from .exceptions import SingularInformation
 from .model import Design, _LOG_MAX, _check_model, _cholesky, _overflow, choose
-from .regions import KW_TOL, _singular, _verdict
 
 
 def orbit_blocks(k: int, d: int):
@@ -179,18 +176,16 @@ def orbit_settings(per_setting: np.ndarray) -> tuple[list[int], list[float]]:
     return keys, weights
 
 
-def orbit_verdict(w: Design, theta, m):
-    """``regions.kw_certificate`` of ``w`` at the exchangeable ``theta``, read
-    on the orbits, or None when ``w`` is not S_k-invariant or the lattice
-    must raise.
+def orbit_sensitivities(w: Design, theta, m):
+    """d_c of the S_k-invariant design ``w`` at the exchangeable ``theta``, one
+    per orbit, or None when ``w`` is not invariant, does not match ``m`` or
+    an intensity overflows; the lattice then decides, or raises.
 
     ``w`` is invariant when it puts one weight, compared exactly, on every
     setting of each orbit it touches; omega_c sums its weights on orbit c.
-    d_c is then d(x) on every setting x of orbit c, so the verdict is the
-    lattice's with no 2^k array or p x p matrix: its worst setting is the
-    first mask of the worst orbit, (1 << c) - 1, and its violated settings
-    are every setting of each violated orbit, in mask order.  An
-    overflowing intensity is left to the lattice, which names its setting.
+    d_c is then d(x) on every setting x of orbit c.  An overflowing
+    intensity is left to the lattice, which names its setting.  A singular
+    design raises ``SingularInformation``.
     """
     if w.k != m.k or theta.model != m:
         return None
@@ -209,18 +204,13 @@ def orbit_verdict(w: Design, theta, m):
     try:
         orbits = Orbits(theta, m)
     except ValueError:
-        return None  # an overflowing intensity: the lattice names its setting
-    try:
-        d = orbits.evaluate(np.bincount(c, weights=weights, minlength=k + 1))[1]
-    except SingularInformation as exc:
-        raise _singular(w, m) from exc
-    verdict = _verdict(d, (1 << np.arange(k + 1)) - 1, float(m.p), KW_TOL, k)
-    return replace(verdict, _violated=partial(_members, k, verdict._violated))
+        return None
+    return orbits.evaluate(np.bincount(c, weights=weights, minlength=k + 1))[1]
 
 
-def _members(k: int, firsts) -> list[int]:
-    """Every setting of the orbits whose first masks ``firsts()`` lists, in
-    mask order."""
+def orbit_members(k: int, firsts: np.ndarray) -> list[int]:
+    """Every setting of the orbits whose first masks, (1 << c) - 1, are
+    ``firsts``, in mask order."""
     on = np.zeros(k + 1)
-    on[[x.bit_length() for x in firsts()]] = 1.0
+    on[[x.bit_length() for x in firsts.tolist()]] = 1.0
     return orbit_settings(on)[0]

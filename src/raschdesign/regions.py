@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
@@ -286,7 +286,8 @@ def _theorem_verdict(values: np.ndarray, m: InteractionModel) -> OptimalityVerdi
 
 
 def _verdict(
-    values: np.ndarray, masks: np.ndarray, bound: float, tol: float, k: int
+    values: np.ndarray, masks: np.ndarray, bound: float, tol: float, k: int,
+    expand: Callable[[np.ndarray], list[int]] | None = None,
 ) -> OptimalityVerdict:
     """The one optimality rule of both certificates.
 
@@ -294,7 +295,8 @@ def _verdict(
     violated when it exceeds bound (1 + tol); the verdict is on the
     boundary when the largest value is within bound * tol of the bound.
     The verdict holds the violated masks and names their rules only when
-    asked.  An empty system (k = d) is optimal, with maximum -inf at
+    asked; ``expand``, when given, lists the violated sets or settings
+    from those masks.  An empty system (k = d) is optimal, with maximum -inf at
     setting 0.
     """
     best, worst = -math.inf, 0
@@ -307,7 +309,7 @@ def _verdict(
         max_directional_value=best,
         bound=bound,
         worst_setting=setting_bits(worst, k),
-        _violated=over.tolist,
+        _violated=over.tolist if expand is None else partial(expand, over),
         boundary=abs(best - bound) <= bound * tol,
     )
 
@@ -340,15 +342,22 @@ def kw_certificate(
     """Equivalence-theorem check: optimal iff max_x d(x) <= p (1 + KW_TOL).
 
     At an exchangeable ``theta`` and an S_k-invariant ``w`` the check runs
-    on the k + 1 orbits (``_orbits.orbit_verdict``); anything else runs on
-    the 2^k lattice (``sensitivities``), which raises for a mismatch.
+    on the k + 1 orbits (``_orbits.orbit_sensitivities``): the worst setting
+    is the first mask of the worst orbit, (1 << c) - 1, and the violated
+    settings are every setting of each violated orbit, in mask order.
+    Anything else runs on the 2^k lattice (``sensitivities``), which raises
+    for a mismatch.
     """
     if theta.exchangeable:
-        from ._orbits import orbit_verdict
+        from ._orbits import orbit_members, orbit_sensitivities
 
-        verdict = orbit_verdict(w, theta, m)
-        if verdict is not None:
-            return verdict
+        try:
+            d = orbit_sensitivities(w, theta, m)
+        except SingularInformation as exc:
+            raise _singular(w, m) from exc
+        if d is not None:
+            return _verdict(d, (1 << np.arange(m.k + 1)) - 1, float(m.p), KW_TOL, m.k,
+                            partial(orbit_members, m.k))
     d = sensitivities(w, theta, m)
     return _verdict(d, np.arange(d.size), float(m.p), KW_TOL, m.k)
 

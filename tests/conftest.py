@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import raschdesign as rd
+from raschdesign import regions
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -22,6 +23,14 @@ def fresh_python():
                               capture_output=True, text=True, timeout=120)
 
     return run
+
+
+def lattice_verdict(w, theta, m):
+    """``kw_certificate`` on the 2^k lattice, whatever ``w`` and ``theta``: the
+    oracle of its orbit path, and a check of the orbit optimizer's output
+    that does not run that optimizer's kernel."""
+    d = rd.sensitivities(w, theta, m)
+    return regions._verdict(d, np.arange(d.size), float(m.p), regions.KW_TOL, m.k)
 
 
 def dense_vertices(pm):

@@ -28,7 +28,7 @@ from numpy.testing import assert_allclose
 import raschdesign as rd
 from raschdesign import CenterStatus, DesignStructure
 
-from conftest import inverse_model_matrix, model_matrix, transform_vector
+from conftest import inverse_model_matrix, lattice_verdict, model_matrix, transform_vector
 
 
 @contextmanager
@@ -118,7 +118,7 @@ def test_criterion_05_uniform_optimum_at_zero():
                 assert result.converged
                 for x in m.settings():
                     assert abs(result.design.weight(x) - target) <= 1e-6
-                verdict = rd.kw_certificate(result.design, theta, m)
+                verdict = lattice_verdict(result.design, theta, m)
                 assert abs(verdict.max_directional_value - m.p) <= 1e-6
 
 

@@ -10,6 +10,8 @@ from numpy.testing import assert_allclose
 import raschdesign as rd
 from raschdesign import DesignStructure, optimizer
 
+from conftest import lattice_verdict
+
 
 def segment_monotone(trace, prune_iterations, slack=1e-12):
     """Check ascent within each constant-support segment of the trace."""
@@ -59,7 +61,7 @@ class TestOptimizeDesign:
         assert result.structure is DesignStructure.INTERIOR
         assert result.design.weight((1, 1)) > min_weight
         assert_allclose(result.final_kw_max, 3.0, rtol=1e-6)
-        assert rd.kw_certificate(result.design, theta, m).optimal
+        assert lattice_verdict(result.design, theta, m).optimal
 
     def test_non_finite_information_raises(self):
         m = rd.InteractionModel(2, 1)
@@ -151,7 +153,7 @@ class TestVertexExchange:
             theta = rd.ParameterVector.symmetric(m, lam)
             result = self.run(theta, m)
             assert result.converged
-            certified = rd.kw_certificate(corner, theta, m).optimal
+            certified = lattice_verdict(corner, theta, m).optimal
             assert (result.structure is DesignStructure.CORNER) == certified, lam
 
     def test_fast_just_above_transition(self):
@@ -405,7 +407,7 @@ class TestOrbitPath:
         gap = max(orbit.final_kw_max, lattice.final_kw_max) - m.p
         assert abs(orbit.log_det - lattice.log_det) <= max(gap, 0.0) + 1e-12 * max(
             1.0, abs(lattice.log_det))
-        assert rd.kw_certificate(orbit.design, theta, m).optimal
+        assert lattice_verdict(orbit.design, theta, m).optimal
         if orbit.structure is DesignStructure.CORNER:
             # the lattice's weights carry rounding; the orbit's are 1/p exactly
             corner = rd.corner_design(m).weights
@@ -452,7 +454,8 @@ class TestOrbitPath:
             result = rd.optimize_design(theta, m)
         except rd.NumericalCheckError:
             return
-        assert rd.kw_certificate(result.design, theta, m).optimal
+        # on the lattice: the orbit path would read the optimizer's own kernel
+        assert lattice_verdict(result.design, theta, m).optimal
 
     @pytest.mark.parametrize("b,error", [
         pytest.param((0.0, 500.0), ValueError, id="overflow"),
@@ -555,8 +558,8 @@ class TestFindTransition:
             bracket=(0.2, 0.6), tol=1e-3,
         )
         corner = rd.corner_design(m)
-        assert rd.kw_certificate(corner, path(found - 0.01), m).optimal
-        assert not rd.kw_certificate(corner, path(found + 0.01), m).optimal
+        assert lattice_verdict(corner, path(found - 0.01), m).optimal
+        assert not lattice_verdict(corner, path(found + 0.01), m).optimal
 
 
 class TestCaratheodoryBound:

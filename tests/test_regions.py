@@ -18,6 +18,8 @@ from raschdesign._lattice import (corner_coefficients, corner_index, corner_labe
 from raschdesign._orbits import orbit_settings
 from raschdesign._splitmix import Uniforms
 
+from conftest import lattice_verdict
+
 
 def symmetric_monomial_counts(q):
     """Collapse an inequality to {(singleton deg, pair deg): coeff sum}."""
@@ -471,13 +473,6 @@ class TestKwCertificate:
             rd.sensitivities(w, theta, m)
         with pytest.raises(ValueError, match="infs or NaNs"):
             rd.kw_certificate(w, theta, m)
-
-
-def lattice_verdict(w, theta, m):
-    """``kw_certificate`` on the 2^k lattice, whatever ``w`` and ``theta``:
-    the orbit path's oracle."""
-    d = rd.sensitivities(w, theta, m)
-    return regions._verdict(d, np.arange(d.size), float(m.p), regions.KW_TOL, m.k)
 
 
 def invariant_design(k, per_setting):
